@@ -46,10 +46,9 @@ SLOW_POINT_FACTOR = 8.0
 def log_transport(transport: str, *, workers: int, points: int) -> None:
     """Announce the sweep's point-distribution transport, once per sweep.
 
-    ``transport`` is one of ``shared-memory`` (graphs published to pool
-    workers via one shm arena), ``batched-c`` (single in-process C call),
-    ``pickle`` (legacy per-point process pool), ``serial`` (in-process
-    loop), or ``incremental`` (serial with prefix reuse).
+    ``transport`` is ``batched-c`` (the sweep's C path: one in-process
+    batched C call), ``pickle`` (per-point process pool) or ``serial``
+    (per-point in-process loop).
     """
     jsonlog(
         "sweep_transport", logger=log,
@@ -195,11 +194,10 @@ def parallel_map(
     Fans out over a process pool when more than one worker is available
     and there is more than one item; otherwise runs serially in-process.
     ``fn`` must be picklable (module-level) for the parallel path.
-    ``transport`` overrides the label in the once-per-sweep transport log
-    (the batched sweep passes ``shared-memory`` when items are arena
-    handles rather than pickled configs); an empty string suppresses the
-    log entirely — for auxiliary fan-outs, like the batched sweep's
-    cold-cache build phase, that are not the sweep's point transport.
+    ``transport`` overrides the label in the once-per-sweep transport
+    log; an empty string suppresses the log entirely — for auxiliary
+    fan-outs, like the sweep's cold-cache build phase, that are not the
+    sweep's point transport.
     """
     seq: Sequence[T] = items if isinstance(items, Sequence) else list(items)
     if workers is None:

@@ -72,10 +72,12 @@ def _time_stages(
 
     ``pipeline`` is ``"reference"`` (TaskGraph + pure-Python loop) or
     ``"compiled"`` (CompiledGraph + array core).  Stages are timed
-    serially for clean attribution.
+    serially for clean attribution.  ``outcomes`` holds each point's
+    ``(makespan, messages)`` — the values other passes are checked
+    against bit for bit.
     """
     elim_s = build_s = sim_s = 0.0
-    makespans = []
+    outcomes = []
     for m, n, cfg in points:
         t0 = time.perf_counter()
         elims = hqr_elimination_list(m, n, cfg)
@@ -99,13 +101,13 @@ def _time_stages(
         elim_s += t1 - t0
         build_s += t2 - t1
         sim_s += t3 - t2
-        makespans.append(res.makespan)
+        outcomes.append((res.makespan, res.messages))
     return {
         "elim_s": elim_s,
         "build_s": build_s,
         "sim_s": sim_s,
         "total_s": elim_s + build_s + sim_s,
-        "makespans": makespans,
+        "outcomes": outcomes,
     }
 
 
@@ -135,18 +137,16 @@ def bench_report(
     skip_reference: bool = False,
     workers: int | None = None,
     setup: BenchSetup | None = None,
-    batch: bool = True,
 ) -> dict:
-    """Full pipeline benchmark: staged timings + parallel-sweep wall time.
+    """Full pipeline benchmark: staged timings + sweep wall time.
 
     The staged sections time both pipelines serially over the Figure 6
     point set; ``sweep_wall_s`` is the same point set end-to-end through
-    the legacy per-point ``run_config_sweep`` (exercising the cache and
-    the parallel engine).  With ``batch`` (the default), the batched
-    dispatch path is timed over the same points as
-    ``sweep_batched_wall_s`` and its makespans are cross-checked against
-    the per-point run — any disagreement lands in ``batch_mismatches``
-    and fails ``repro bench``.
+    :func:`~repro.bench.runner.run_config_sweep` (exercising the cache
+    and whichever sweep path this machine takes).  The sweep's
+    ``(makespan, messages)`` are cross-checked bit for bit against the
+    staged compiled pass — any disagreement lands in
+    ``sweep_mismatches`` and fails ``repro bench``.
     """
     from repro._ccore import native_available
     from repro.obs.regression import run_metadata
@@ -167,13 +167,13 @@ def bench_report(
 
     stages: dict = {}
     compiled = _time_stages(points, setup, "compiled")
-    stages["compiled"] = {k: v for k, v in compiled.items() if k != "makespans"}
+    stages["compiled"] = {k: v for k, v in compiled.items() if k != "outcomes"}
     if not skip_reference:
         reference = _time_stages(points, setup, "reference")
         stages["reference"] = {
-            k: v for k, v in reference.items() if k != "makespans"
+            k: v for k, v in reference.items() if k != "outcomes"
         }
-        if reference["makespans"] != compiled["makespans"]:
+        if reference["outcomes"] != compiled["outcomes"]:
             # record every diverging point; the CLI prints the diff and
             # exits non-zero so CI catches engine drift
             report["mismatches"] = [
@@ -181,13 +181,13 @@ def bench_report(
                     "m": m,
                     "n": n,
                     "config": str(cfg),
-                    "reference_makespan": ref_mk,
-                    "compiled_makespan": cmp_mk,
+                    "reference_makespan": ref[0],
+                    "compiled_makespan": cmp[0],
                 }
-                for (m, n, cfg), ref_mk, cmp_mk in zip(
-                    points, reference["makespans"], compiled["makespans"]
+                for (m, n, cfg), ref, cmp in zip(
+                    points, reference["outcomes"], compiled["outcomes"]
                 )
-                if ref_mk != cmp_mk
+                if ref != cmp
             ]
         report["speedup_total"] = (
             reference["total_s"] / compiled["total_s"]
@@ -196,40 +196,28 @@ def bench_report(
         )
     report["stages"] = stages
 
+    from repro._ccore import openmp_available
+    from repro.runtime.core import sim_threads
+
     t0 = time.perf_counter()
-    per_point = run_config_sweep(points, setup, workers=workers, batch=False)
+    swept = run_config_sweep(points, setup, workers=workers)
     report["sweep_wall_s"] = time.perf_counter() - t0
-
-    if batch:
-        from repro._ccore import openmp_available
-        from repro.runtime.core import sim_threads
-
-        t0 = time.perf_counter()
-        batched = run_config_sweep(points, setup, workers=workers, batch=True)
-        wall = time.perf_counter() - t0
-        report["sweep_batched_wall_s"] = wall
-        report["batched"] = {
-            "wall_s": wall,
-            "n_points": len(points),
-            "openmp": openmp_available(),
-            "threads": sim_threads(),
-            "speedup_vs_per_point": (
-                report["sweep_wall_s"] / wall if wall > 0 else float("inf")
-            ),
+    report["sweep"] = {"openmp": openmp_available(), "threads": sim_threads()}
+    diverging = [
+        {
+            "m": m,
+            "n": n,
+            "config": str(cfg),
+            "staged_makespan": staged[0],
+            "sweep_makespan": res.makespan,
         }
-        diverging = [
-            {
-                "m": m,
-                "n": n,
-                "config": str(cfg),
-                "per_point_makespan": pp.makespan,
-                "batched_makespan": bt.makespan,
-            }
-            for (m, n, cfg), pp, bt in zip(points, per_point, batched)
-            if pp.makespan != bt.makespan or pp.messages != bt.messages
-        ]
-        if diverging:
-            report["batch_mismatches"] = diverging
+        for (m, n, cfg), staged, res in zip(
+            points, compiled["outcomes"], swept
+        )
+        if staged != (res.makespan, res.messages)
+    ]
+    if diverging:
+        report["sweep_mismatches"] = diverging
 
     report["micro"] = micro_benchmark(setup)
     return report
@@ -252,15 +240,12 @@ def format_report(report: dict) -> str:
         )
     if "speedup_total" in report:
         lines.append(f"  end-to-end speedup: {report['speedup_total']:.1f}x")
-    lines.append(f"  cached parallel sweep: {report['sweep_wall_s']:.3f}s")
-    batched = report.get("batched")
-    if batched is not None:
-        threads = batched["threads"] or "auto"
-        lines.append(
-            f"  batched sweep: {batched['wall_s']:.3f}s "
-            f"({batched['speedup_vs_per_point']:.1f}x vs per-point, "
-            f"openmp={batched['openmp']}, threads={threads})"
-        )
+    line = f"  cached parallel sweep: {report['sweep_wall_s']:.3f}s"
+    sweep = report.get("sweep")
+    if sweep is not None:
+        threads = sweep["threads"] or "auto"
+        line += f" (openmp={sweep['openmp']}, threads={threads})"
+    lines.append(line)
     micro = report["micro"]
     lines.append(
         f"  micro (m={micro['m']}, n={micro['n']}): "
@@ -286,17 +271,18 @@ def format_mismatches(report: dict) -> str | None:
                 f"reference {d['reference_makespan']!r} != "
                 f"compiled {d['compiled_makespan']!r}"
             )
-    batch_mismatches = report.get("batch_mismatches")
-    if batch_mismatches:
+    sweep_mismatches = report.get("sweep_mismatches")
+    if sweep_mismatches:
         lines.append(
-            f"BATCH MISMATCH: batched and per-point dispatch disagree on "
-            f"{len(batch_mismatches)} of {report['n_points']} points:"
+            f"SWEEP MISMATCH: the sweep and the staged compiled pass "
+            f"disagree on {len(sweep_mismatches)} of "
+            f"{report['n_points']} points:"
         )
-        for d in batch_mismatches:
+        for d in sweep_mismatches:
             lines.append(
                 f"  m={d['m']:>4} n={d['n']:>3} {d['config']}: "
-                f"per-point {d['per_point_makespan']!r} != "
-                f"batched {d['batched_makespan']!r}"
+                f"staged {d['staged_makespan']!r} != "
+                f"sweep {d['sweep_makespan']!r}"
             )
     return "\n".join(lines) if lines else None
 

@@ -125,7 +125,7 @@ def compiled_graph_for(
 ):
     """Build (or fetch from the two-level cache) one compiled graph.
 
-    The shared build path of :func:`run_config`, the batched sweep, and
+    The shared build path of :func:`run_config`, the sweep's C path, and
     the :mod:`repro.tune` energy evaluator: fingerprint the inputs,
     consult the process-wide :func:`~repro.dag.cache.default_cache`, and
     fall back to an uncached build for layouts whose attributes have no
@@ -180,36 +180,19 @@ def run_config(
 
 def _run_point(item) -> SimulationResult:
     """One sweep point (module-level: picklable for the process pool)."""
-    m, n, config, setup, layout = item
-    return run_config(m, n, config, setup=setup, layout=layout)
+    m, n, config, setup = item
+    return run_config(m, n, config, setup=setup)
 
 
 def _build_point(item) -> None:
     """Build one point's graph into the shared disk cache (no simulate).
 
-    Module-level and picklable: the batched sweep fans the cold-cache
+    Module-level and picklable: the sweep's C path fans the cold-cache
     build phase out over the pool, then the parent loads every graph
     back through the memory-mapped cache.
     """
-    m, n, config, setup, layout = item
-    lay = layout if layout is not None else setup.layout
-    compiled_graph_for(m, n, config, lay, setup.machine, setup.b)
-
-
-def _sim_arena_point(item) -> SimulationResult:
-    """Simulate one point against the attached shared-memory arena."""
-    handle, index, machine, b = item
-    from repro.bench.shm import attach
-    from repro.runtime.core import run_core
-
-    cg = attach(handle)[index]
-    with stage("simulate"):
-        return run_core(cg, machine, b).result
-
-
-def batch_default() -> bool:
-    """Batched dispatch is the default; ``REPRO_BENCH_BATCH=0`` opts out."""
-    return os.environ.get("REPRO_BENCH_BATCH", "1") != "0"
+    m, n, config, setup = item
+    compiled_graph_for(m, n, config, setup.layout, setup.machine, setup.b)
 
 
 def run_config_sweep(
@@ -217,70 +200,64 @@ def run_config_sweep(
     setup: BenchSetup | None = None,
     *,
     workers: int | None = None,
-    batch: bool | None = None,
 ) -> list[SimulationResult]:
     """Simulate many ``(m, n, config)`` points, preserving input order.
 
-    Two dispatch modes, bit-identical in results:
+    Two paths, bit-identical in results; the sweep picks one from what it
+    can observe, never from a user switch:
 
-    * ``batch=False`` — the legacy engine: each point is shipped to a
-      pool worker as a pickled ``(m, n, config)`` tuple and built +
-      simulated there.
-    * ``batch=True`` (default, ``REPRO_BENCH_BATCH=0`` reverts) — graphs
-      are built once (cold points fan the *build* out over the pool,
-      then load back through the memory-mapped cache) and simulated via
-      the cheapest available transport: one batched C call
-      (``simulate_compiled_batch``), a shared-memory arena fanned over
-      the pool for the pure-Python core, or the serial incremental
-      sweep.
+    * **C path** — the native core is usable and no task-level recorder
+      is active.  Every graph is built once (cold points fan the *build*
+      out over the pool, then load back through the memory-mapped
+      cache) and all points are simulated by one :func:`~repro.runtime.
+      core.run_core_batch` call.
+    * **per-point path** — otherwise (pure-Python core, the reference
+      engine, task-level recording).  :func:`run_config` builds and
+      simulates each point, fanned out by :func:`~repro.bench.parallel.
+      parallel_map`.
 
-    The reference engine (``REPRO_SIM_CORE=reference``) always uses the
-    legacy per-point path — there is no compiled graph to share.
+    Under an active :mod:`repro.obs` recorder every point runs
+    in-process: a pool worker would record into its own copy of the
+    recorder, and the caller's would see nothing.
     """
-    from repro.runtime.core import core_mode
+    from repro.obs.events import active as _obs_active
+    from repro.runtime.core import _pick_engine, core_mode
 
     setup = setup or BenchSetup()
-    if batch is None:
-        batch = batch_default()
-    if not batch or core_mode() == "reference" or not points:
-        items = [(m, n, cfg, setup, None) for m, n, cfg in points]
-        return parallel_map(_run_point, items, workers=workers)
-    return _sweep_batched(list(points), setup, workers)
+    points = list(points)
+    rec = _obs_active()
+    if rec is not None:
+        workers = 1
+    want_tasks = rec is not None and rec.want_tasks
+    if (
+        core_mode() != "reference"
+        and not want_tasks
+        and _pick_engine(None) is not None
+    ):
+        return _sweep_c(points, setup, workers)
+    items = [(m, n, cfg, setup) for m, n, cfg in points]
+    return parallel_map(_run_point, items, workers=workers)
 
 
-def _sweep_batched(points, setup, workers) -> list[SimulationResult]:
+def _sweep_c(points, setup, workers) -> list[SimulationResult]:
+    """The C path: build every graph once, then one batched C call."""
     from repro.bench.parallel import default_workers, log_transport
     from repro.dag.cache import default_cache, fingerprint
-    from repro.obs.events import active as _obs_active
-    from repro.runtime.core import _pick_engine, run_core_batch
-    from repro.runtime.incremental import run_sweep_incremental
+    from repro.runtime.core import run_core_batch
 
     machine, b = setup.machine, setup.b
     eff_workers = workers if workers is not None else default_workers()
-    rec = _obs_active()
-    want_tasks = rec is not None and rec.want_tasks
-    c_lib = _pick_engine(None) if not want_tasks else None
-
-    if c_lib is None and eff_workers <= 1:
-        # pure-Python serial sweep: the incremental engine reuses DAG
-        # prefixes and event-heap state between compatible neighbors
-        log_transport("incremental", workers=1, points=len(points))
-        return run_sweep_incremental(points, setup)
-
-    # -- build every graph once (parent-side, pool-assisted when cold) --
     cache = default_cache()
-    keys = []
-    for m, n, cfg in points:
+    cold = []
+    for i, (m, n, cfg) in enumerate(points):
         try:
-            keys.append(fingerprint(m, n, cfg, setup.layout, machine, b))
+            key = fingerprint(m, n, cfg, setup.layout, machine, b)
         except TypeError:
-            keys.append(None)
-    cold = [
-        i for i, key in enumerate(keys)
-        if key is not None and not cache.contains(key)
-    ]
-    if cold and eff_workers > 1 and len(cold) > 1:
-        items = [(*points[i], setup, None) for i in cold]
+            continue
+        if not cache.contains(key):
+            cold.append(i)
+    if eff_workers > 1 and len(cold) > 1:
+        items = [(*points[i], setup) for i in cold]
         # transport="" : build fan-out, not the sweep's point transport
         parallel_map(_build_point, items, workers=workers, transport="")
         cache.clear_memory()  # reload below through the mmap path
@@ -288,30 +265,5 @@ def _sweep_batched(points, setup, workers) -> list[SimulationResult]:
         compiled_graph_for(m, n, cfg, setup.layout, machine, b)
         for m, n, cfg in points
     ]
-
-    # -- dispatch ------------------------------------------------------ #
-    if c_lib is not None:
-        log_transport("batched-c", workers=1, points=len(points))
-        return run_core_batch(graphs, machine, b)
-
-    if eff_workers > 1 and len(points) > 1:
-        from concurrent.futures import BrokenExecutor
-
-        from repro.bench.shm import GraphArena
-
-        with GraphArena.publish(graphs) as arena:
-            items = [
-                (arena.handle, i, machine, b) for i in range(len(points))
-            ]
-            try:
-                return parallel_map(
-                    _sim_arena_point, items,
-                    workers=workers, transport="shared-memory",
-                )
-            except (OSError, BrokenExecutor):  # pragma: no cover
-                pass  # fall through to the serial path below
-    log_transport("serial", workers=1, points=len(points))
-    from repro.runtime.core import run_core
-
-    with stage("dispatch_compute"):
-        return [run_core(cg, machine, b).result for cg in graphs]
+    log_transport("batched-c", workers=1, points=len(points))
+    return run_core_batch(graphs, machine, b)

@@ -236,9 +236,9 @@ def _default_memory_slots() -> int:
     """Memory-cache capacity: ``REPRO_CACHE_SLOTS`` or 128 entries.
 
     The default comfortably holds a full Figure-6 sweep (72 graphs,
-    ~110 MB of arrays) so the batched dispatch right after a per-point
-    run packs RAM-resident arrays instead of re-faulting memory-mapped
-    pages; mmap-backed entries cost page-cache-shared memory only.
+    ~110 MB of arrays) so a repeated sweep packs RAM-resident arrays
+    instead of re-faulting memory-mapped pages; mmap-backed entries
+    cost page-cache-shared memory only.
     """
     env = os.environ.get("REPRO_CACHE_SLOTS")
     if not env:
@@ -382,9 +382,9 @@ class CompiledGraphCache:
         """Cheap presence probe: memory hit or a disk entry on file.
 
         Does *not* load (or validate) the disk entry — callers planning
-        work around warm entries (the batched sweep's cold scan, the
-        incremental planner) only need existence; a stale entry is
-        caught by the eventual :meth:`get`, which rebuilds.
+        work around warm entries (the sweep's cold scan) only need
+        existence; a stale entry is caught by the eventual :meth:`get`,
+        which rebuilds.
         """
         with self._lock:
             if key in self._memory:

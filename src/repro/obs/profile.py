@@ -117,12 +117,10 @@ def profile_run(
     Stages measured (serial pass, clean attribution): ``elim``
     (elimination list), ``dag_build`` (compiled-graph construction),
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
-    loop).  The same points then go through :func:`~repro.bench.runner.
-    run_config_sweep` twice — per-point (``sweep_parallel``) and batched
-    (``dispatch``, whose ``dispatch_pack``/``dispatch_compute``
-    sub-stages split the batched path into setup, arena packing, and
-    compute) — to attribute sweep fan-out overhead/speedup.  Returns a
-    JSON-ready report.
+    loop).  The same points then go once through :func:`~repro.bench.
+    runner.run_config_sweep` (``dispatch``; on the C path its
+    ``dispatch_pack``/``dispatch_compute`` sub-stages split it into
+    setup, arena packing, and compute).  Returns a JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
     from repro.hqr.config import HQRConfig
@@ -148,13 +146,10 @@ def profile_run(
             prof_ctx.disable()
         serial_s = time.perf_counter() - t0
 
-        with stage("sweep_parallel"):
-            run_config_sweep(points, setup, batch=False)
         with stage("dispatch"):
-            run_config_sweep(points, setup, batch=True)
+            run_config_sweep(points, setup)
     report["stages"] = sp.to_dict()
     report["serial_wall_s"] = serial_s
-    report["sweep_parallel_s"] = sp.seconds("sweep_parallel")
     dispatch_s = sp.seconds("dispatch")
     pack_s = sp.seconds("dispatch_pack")
     compute_s = sp.seconds("dispatch_compute")
@@ -220,16 +215,10 @@ def format_profile(report: dict) -> str:
         f"  cache overhead (graph - elim - dag_build): "
         f"{report['cache_overhead_s']:.3f}s"
     )
-    if report.get("sweep_parallel_s", 0) > 0:
-        speedup = report["serial_wall_s"] / report["sweep_parallel_s"]
-        lines.append(
-            f"  parallel sweep: {report['sweep_parallel_s']:.3f}s "
-            f"({speedup:.1f}x vs serial; includes cache hits)"
-        )
     dispatch = report.get("dispatch")
     if dispatch is not None and dispatch["total_s"] > 0:
         lines.append(
-            f"  batched dispatch: {dispatch['total_s']:.3f}s "
+            f"  sweep dispatch: {dispatch['total_s']:.3f}s "
             f"(setup {dispatch['setup_s']:.3f}s, "
             f"pack {dispatch['pack_s']:.3f}s, "
             f"compute {dispatch['compute_s']:.3f}s)"

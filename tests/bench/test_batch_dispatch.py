@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.runner import BenchSetup, run_config_sweep
+from repro.bench.runner import BenchSetup, run_config, run_config_sweep
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
@@ -118,37 +118,35 @@ def _points():
 
 @pytest.mark.parametrize("core", ["auto", "python"])
 def test_sweep_batched_matches_legacy(core, fresh_cache, monkeypatch):
+    """Either sweep path (C batch on ``auto``, per-point on ``python``)
+    is bit-for-bit a plain ``run_config`` loop, at any worker count —
+    each sweep starting from a cold cache, so the pool-assisted build
+    and the memory-mapped reload are both on the path."""
+    import shutil
+
     monkeypatch.setenv("REPRO_SIM_CORE", core)
     setup = small_setup()
     points = _points()
-    legacy = run_config_sweep(points, setup, workers=1, batch=False)
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
     for workers in (1, 2):
-        got = run_config_sweep(points, setup, workers=workers, batch=True)
-        assert got == legacy, f"core={core} workers={workers}"
-
-
-def test_sweep_batch_env_default(monkeypatch):
-    from repro.bench.runner import batch_default
-
-    monkeypatch.delenv("REPRO_BENCH_BATCH", raising=False)
-    assert batch_default() is True
-    monkeypatch.setenv("REPRO_BENCH_BATCH", "0")
-    assert batch_default() is False
+        fresh_cache.clear_memory()
+        shutil.rmtree(fresh_cache.root)
+        got = run_config_sweep(points, setup, workers=workers)
+        assert got == want, f"core={core} workers={workers}"
 
 
 def test_bench_report_batched_section(fresh_cache, monkeypatch):
+    """The one timed sweep is cross-checked against the staged pass."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "small")
     from repro.bench.perf import bench_report, format_report
 
-    report = bench_report(
-        workers=1, setup=small_setup(), skip_reference=True, batch=True
-    )
-    assert "batch_mismatches" not in report
-    batched = report["batched"]
-    assert batched["wall_s"] == report["sweep_batched_wall_s"] > 0
-    assert batched["n_points"] == report["n_points"]
-    assert isinstance(batched["openmp"], bool)
-    assert "batched sweep" in format_report(report)
+    report = bench_report(workers=1, setup=small_setup(), skip_reference=True)
+    assert "sweep_mismatches" not in report
+    assert report["sweep_wall_s"] > 0
+    assert "sweep_batched_wall_s" not in report
+    assert "batched" not in report
+    assert isinstance(report["sweep"]["openmp"], bool)
+    assert "openmp=" in format_report(report)
 
 
 def test_format_batch_mismatches():
@@ -156,18 +154,18 @@ def test_format_batch_mismatches():
 
     report = {
         "n_points": 2,
-        "batch_mismatches": [
+        "sweep_mismatches": [
             {
                 "m": 12,
                 "n": 4,
                 "config": "HQR(...)",
-                "per_point_makespan": 1.0,
-                "batched_makespan": 2.0,
+                "staged_makespan": 1.0,
+                "sweep_makespan": 2.0,
             }
         ],
     }
     text = format_mismatches(report)
-    assert "BATCH MISMATCH" in text
+    assert "SWEEP MISMATCH" in text
 
 
 def test_verify_case_batched_roundtrip():

@@ -113,10 +113,94 @@ def test_default_workers_env(monkeypatch):
         default_workers()
 
 
+def test_recycle_env(monkeypatch):
+    from repro.bench.parallel import recycle_tasks
+
+    monkeypatch.delenv("REPRO_BENCH_RECYCLE", raising=False)
+    assert recycle_tasks() == 0
+    monkeypatch.setenv("REPRO_BENCH_RECYCLE", "8")
+    assert recycle_tasks() == 8
+    monkeypatch.setenv("REPRO_BENCH_RECYCLE", "lots")
+    with pytest.raises(ValueError):
+        recycle_tasks()
+
+
+@pytest.mark.slow
+def test_recycled_pool_still_correct(monkeypatch):
+    """Worker recycling (forkserver + max_tasks_per_child) changes the
+    pool construction, never the results."""
+    monkeypatch.setenv("REPRO_BENCH_RECYCLE", "2")
+    assert parallel_map(_square, list(range(6)), workers=2) == [
+        x * x for x in range(6)
+    ]
+
+
 def small_setup():
     return BenchSetup(
         b=40, grid_p=4, grid_q=2, machine=Machine(nodes=8, cores_per_node=4)
     )
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """Isolated default graph cache (memory + tmp disk)."""
+    from repro.dag import cache as cache_mod
+
+    c = cache_mod.CompiledGraphCache(tmp_path / "graphs")
+    monkeypatch.setattr(cache_mod, "_default", c)
+    return c
+
+
+def _transport_lines(caplog, points, workers):
+    import logging
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="repro.bench.parallel"):
+        run_config_sweep(points, small_setup(), workers=workers)
+    return [r.message for r in caplog.records if "sweep transport" in r.message]
+
+
+def test_transport_logged_once(fresh_cache, caplog, monkeypatch):
+    """One transport line per sweep: ``batched-c`` on the C path (its
+    pool-assisted cold build stays silent), ``pickle``/``serial`` on the
+    per-point path."""
+    from repro._ccore import native_available
+
+    points = [(12, 4, HQRConfig(p=4, q=2, a=a)) for a in (1, 2)]
+    if native_available():
+        monkeypatch.setenv("REPRO_SIM_CORE", "auto")
+        lines = _transport_lines(caplog, points, workers=2)
+        assert len(lines) == 1
+        assert "batched-c" in lines[0]
+
+    monkeypatch.setenv("REPRO_SIM_CORE", "python")
+    lines = _transport_lines(caplog, points, workers=2)
+    assert len(lines) == 1
+    assert "pickle" in lines[0]
+    lines = _transport_lines(caplog, points, workers=1)
+    assert len(lines) == 1
+    assert "serial" in lines[0]
+
+
+@pytest.mark.parametrize("core", ["auto", "python"])
+def test_sweep_under_recorder_keeps_events(core, fresh_cache, monkeypatch):
+    """Regression: with a recorder active, a multi-worker sweep used to
+    run points in pool workers, which recorded into their own copy of
+    the recorder — the caller's saw no task events and no runs."""
+    from repro.obs.events import recording
+
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    setup = small_setup()
+    points = [(m, 4, HQRConfig(p=4, q=2, a=2)) for m in (16, 24, 32)]
+    seen = {}
+    for workers in (1, 2):
+        fresh_cache.clear_memory()
+        with recording("tasks") as rec:
+            results = run_config_sweep(points, setup, workers=workers)
+        seen[workers] = (len(rec.tasks), len(rec.runs), results)
+    assert seen[1][0] > 0
+    assert seen[1][1] == len(points)
+    assert seen[2] == seen[1]
 
 
 def test_run_config_sweep_matches_serial():

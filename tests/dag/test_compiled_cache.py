@@ -321,3 +321,30 @@ def test_cache_metrics_exported_through_registry(tmp_path):
     assert 'repro_graph_cache_ops_total{event="miss"} 1' in text
     assert 'repro_graph_cache_ops_total{event="hit_memory"} 1' in text
     assert "repro_graph_cache_hit_ratio 0.5" in text
+
+
+def test_mmap_cache_load(tmp_path, monkeypatch):
+    """Disk-cache hits come back as read-only mmap views by default and
+    as writable copies with REPRO_CACHE_MMAP=0 — identical either way."""
+    from repro.runtime.compiled import simulate_compiled
+
+    cg = build_graph()
+    store = CompiledGraphCache(tmp_path / "graphs")
+    store.put("k1", cg)
+    store.clear_memory()
+
+    monkeypatch.delenv("REPRO_CACHE_MMAP", raising=False)
+    mapped = store.get("k1")
+    assert mapped is not None
+    assert not mapped.kind.flags.writeable
+    store.clear_memory()
+
+    monkeypatch.setenv("REPRO_CACHE_MMAP", "0")
+    copied = store.get("k1")
+    assert copied is not None
+    assert copied.kind.flags.writeable
+    for field in cache_mod._ARRAY_FIELDS:
+        np.testing.assert_array_equal(getattr(mapped, field), getattr(copied, field))
+    assert simulate_compiled(
+        mapped, BASE_MACHINE, B
+    ) == simulate_compiled(cg, BASE_MACHINE, B)
