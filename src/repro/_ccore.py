@@ -7,11 +7,11 @@ dependency-free C translation of both, compiled on first use with the
 system C compiler into a shared library cached under the repro cache
 directory.  Everything here is optional: when no compiler is available (or
 ``REPRO_SIM_CORE=python``), callers fall back to the pure-Python array
-loops in :mod:`repro.runtime.compiled` and :mod:`repro.dag.compiled`,
-which implement exactly the same algorithms.
+loops in :mod:`repro.runtime.core` and :mod:`repro.dag.compiled`, which
+implement exactly the same algorithms.
 
-Bit-exactness: the C event loops perform the same double-precision
-operations in the same order as the reference Python simulators, and every
+Bit-exactness: the C event loop performs the same double-precision
+operations in the same order as the Python loop of the core, and every
 heap key is distinct (event codes and priority ranks are unique), so heap
 pop order is fully determined by the key total order — the C binary heap
 and Python's ``heapq`` produce identical schedules.  The library is built
@@ -305,9 +305,18 @@ int64_t hqr_build_dag(
 }
 
 /* ------------------------------------------------------------------ *
- * Cluster event loop.  Mirrors ClusterSimulator.run exactly.
- * Event codes: task id t for "t finished", ntasks + t for "data arrival
- * completed t's inputs".  Returns 0 (ok), 1 (stalled), -1 (alloc fail).
+ * Cluster event loop.  Mirrors repro.runtime.core._py_loop exactly.
+ * Event codes: t = "t finished on a core", ntasks + t = "t finished on
+ * an accelerator", 2*ntasks + t = "data arrival completed t's inputs".
+ *
+ * Accelerator pool (accs_per_node > 0): each node also has accs_per_node
+ * devices.  acc_dur[t] >= 0 marks t offloadable (its device seconds);
+ * CPU-only tasks carry a negative value.  Offloadable tasks queue in a
+ * second per-node heap; they prefer an idle accelerator, a freed core
+ * takes a CPU-only task first and then steals an offloadable one, and a
+ * freed accelerator takes only offloadable tasks.  With no pool acc_dur
+ * may be NULL and every pool branch is skipped by one invariant test.
+ * Returns 0 (ok), 1 (stalled), -1 (alloc fail).
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
@@ -318,13 +327,15 @@ int32_t hqr_simulate_cluster(
     int32_t serialized, int32_t hierarchical,
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
     const int32_t *site_of, int32_t data_reuse,
+    int32_t accs_per_node, const double *acc_dur,
     double *out_makespan, double *out_busy, int64_t *out_messages)
 {
     int32_t rc = -1;
-    int32_t *waiting = NULL, *free_cores = NULL;
+    const int pooled = accs_per_node > 0;
+    int32_t *waiting = NULL, *free_cores = NULL, *free_accs = NULL;
     double *data_ready = NULL, *chan_free = NULL, *slot_arrival = NULL;
     uint8_t *state = NULL;
-    iheap *ready = NULL;
+    iheap *ready = NULL, *accq = NULL;
     evheap ev = {NULL, NULL, 0};
 
     waiting = (int32_t *)malloc((size_t)ntasks * sizeof(int32_t));
@@ -339,6 +350,14 @@ int32_t hqr_simulate_cluster(
     if (!waiting || !data_ready || !free_cores || !chan_free || !slot_arrival ||
         !state || !ready || !ev.t || !ev.c)
         goto done;
+    if (pooled) {
+        free_accs = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
+        accq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
+        if (!free_accs || !accq)
+            goto done;
+        for (int32_t i = 0; i < nnodes; i++)
+            free_accs[i] = accs_per_node;
+    }
 
     memcpy(waiting, waiting_init, (size_t)ntasks * sizeof(int32_t));
     for (int32_t i = 0; i < nnodes; i++)
@@ -349,27 +368,46 @@ int32_t hqr_simulate_cluster(
     double busy = 0.0, finish_time = 0.0;
     int64_t messages = 0;
 
-#define LAUNCH(T, START)                                                      \
+#define OFFLOADABLE(T) (pooled && acc_dur[T] >= 0.0)
+
+/* D is the duration, BASE the event-code offset (0 core, ntasks device) */
+#define LAUNCH(T, START, D, BASE)                                             \
     do {                                                                      \
         state[T] = 2;                                                         \
-        double end_ = (START) + dur[T];                                       \
-        busy += dur[T];                                                       \
+        double end_ = (START) + (D);                                          \
+        busy += (D);                                                          \
         if (end_ > finish_time)                                               \
             finish_time = end_;                                               \
-        ev_push(&ev, end_, (int64_t)(T));                                     \
+        ev_push(&ev, end_, (BASE) + (int64_t)(T));                            \
     } while (0)
 
 #define TRY_START(T, NOW)                                                     \
     do {                                                                      \
         int32_t node_ = node_of[T];                                           \
         double start_ = data_ready[T] > (NOW) ? data_ready[T] : (NOW);        \
-        if (free_cores[node_] > 0) {                                          \
+        int off_ = OFFLOADABLE(T);                                            \
+        if (off_ && free_accs[node_] > 0) {                                   \
+            free_accs[node_]--;                                               \
+            LAUNCH(T, start_, acc_dur[T], ntasks);                            \
+        } else if (free_cores[node_] > 0) {                                   \
             free_cores[node_]--;                                              \
-            LAUNCH(T, start_);                                                \
+            LAUNCH(T, start_, dur[T], 0);                                     \
         } else {                                                              \
             state[T] = 1;                                                     \
-            if (ih_push(&ready[node_], rank[T]) < 0)                          \
+            if (ih_push(off_ ? &accq[node_] : &ready[node_], rank[T]) < 0)    \
                 goto done;                                                    \
+        }                                                                     \
+    } while (0)
+
+/* lazy-deletion pop of the first still-queued task, -1 when none */
+#define POP_READY(H, OUT)                                                     \
+    do {                                                                      \
+        while ((H)->len > 0) {                                                \
+            int32_t cand_ = task_of_rank[ih_pop(H)];                          \
+            if (state[cand_] == 1) {                                          \
+                (OUT) = cand_;                                                \
+                break;                                                        \
+            }                                                                 \
         }                                                                     \
     } while (0)
 
@@ -381,11 +419,26 @@ int32_t hqr_simulate_cluster(
         double now;
         int64_t code;
         ev_pop(&ev, &now, &code);
-        if (code < ntasks) {
-            /* task finished: free the core or start the next ready task */
-            int64_t t = code;
-            int32_t node = node_of[t];
-            int64_t nxt = -1;
+        if (code >= 2 * ntasks) {
+            int64_t t = code - 2 * ntasks;
+            TRY_START(t, now);
+            continue;
+        }
+        int64_t t, nxt = -1;
+        int32_t node;
+        if (pooled && code >= ntasks) {
+            /* accelerator freed: only offloadable tasks may take it */
+            t = code - ntasks;
+            node = node_of[t];
+            POP_READY(&accq[node], nxt);
+            if (nxt >= 0)
+                LAUNCH(nxt, now, acc_dur[nxt], ntasks);
+            else
+                free_accs[node]++;
+        } else {
+            /* core freed: start the next ready task */
+            t = code;
+            node = node_of[t];
             if (data_reuse) {
                 int64_t best = -1;
                 for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
@@ -397,73 +450,66 @@ int32_t hqr_simulate_cluster(
                 }
                 nxt = best;
             }
-            if (nxt < 0) {
-                iheap *h = &ready[node];
-                while (h->len > 0) {
-                    int32_t cand = task_of_rank[ih_pop(h)];
-                    if (state[cand] == 1) {
-                        nxt = cand;
-                        break;
-                    }
-                }
-            }
+            if (nxt < 0)
+                POP_READY(&ready[node], nxt);
+            if (nxt < 0 && pooled)
+                POP_READY(&accq[node], nxt); /* steal an offloadable task */
             if (nxt >= 0) {
                 double st = data_ready[nxt] > now ? data_ready[nxt] : now;
-                LAUNCH(nxt, st);
+                LAUNCH(nxt, st, dur[nxt], 0);
             } else
                 free_cores[node]++;
-            /* propagate data to successors */
-            for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-                int32_t s = succ_idx[i];
-                int32_t slot = edge_slot[i];
-                double arrival;
-                if (slot < 0)
-                    arrival = now;
-                else {
-                    arrival = slot_arrival[slot];
-                    if (arrival < 0) {
-                        int32_t dest = node_of[s];
-                        double lat, bwt;
-                        if (hierarchical && site_of[node] != site_of[dest]) {
-                            lat = lat_inter;
-                            bwt = bwt_inter;
-                        } else {
-                            lat = lat_intra;
-                            bwt = bwt_intra;
-                        }
-                        if (serialized) {
-                            double depart = now;
-                            if (chan_free[node] > depart)
-                                depart = chan_free[node];
-                            if (chan_free[dest] > depart)
-                                depart = chan_free[dest];
-                            chan_free[node] = depart + bwt;
-                            chan_free[dest] = depart + bwt;
-                            arrival = depart + lat + bwt;
-                        } else
-                            arrival = now + lat + bwt;
-                        slot_arrival[slot] = arrival;
-                        messages++;
+        }
+        /* propagate data to successors */
+        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
+            int32_t s = succ_idx[i];
+            int32_t slot = edge_slot[i];
+            double arrival;
+            if (slot < 0)
+                arrival = now;
+            else {
+                arrival = slot_arrival[slot];
+                if (arrival < 0) {
+                    int32_t dest = node_of[s];
+                    double lat, bwt;
+                    if (hierarchical && site_of[node] != site_of[dest]) {
+                        lat = lat_inter;
+                        bwt = bwt_inter;
+                    } else {
+                        lat = lat_intra;
+                        bwt = bwt_intra;
                     }
-                }
-                if (arrival > data_ready[s])
-                    data_ready[s] = arrival;
-                if (--waiting[s] == 0) {
-                    double avail = data_ready[s];
-                    if (avail <= now)
-                        TRY_START(s, now);
-                    else
-                        ev_push(&ev, avail, ntasks + (int64_t)s);
+                    if (serialized) {
+                        double depart = now;
+                        if (chan_free[node] > depart)
+                            depart = chan_free[node];
+                        if (chan_free[dest] > depart)
+                            depart = chan_free[dest];
+                        chan_free[node] = depart + bwt;
+                        chan_free[dest] = depart + bwt;
+                        arrival = depart + lat + bwt;
+                    } else
+                        arrival = now + lat + bwt;
+                    slot_arrival[slot] = arrival;
+                    messages++;
                 }
             }
-        } else {
-            int64_t t = code - ntasks;
-            TRY_START(t, now);
+            if (arrival > data_ready[s])
+                data_ready[s] = arrival;
+            if (--waiting[s] == 0) {
+                double avail = data_ready[s];
+                if (avail <= now)
+                    TRY_START(s, now);
+                else
+                    ev_push(&ev, avail, 2 * ntasks + (int64_t)s);
+            }
         }
     }
 
+#undef POP_READY
 #undef TRY_START
 #undef LAUNCH
+#undef OFFLOADABLE
 
     rc = 0;
     for (int64_t t = 0; t < ntasks; t++)
@@ -479,10 +525,15 @@ done:
     if (ready)
         for (int32_t i = 0; i < nnodes; i++)
             free(ready[i].d);
+    if (accq)
+        for (int32_t i = 0; i < nnodes; i++)
+            free(accq[i].d);
     free(ready);
+    free(accq);
     free(waiting);
     free(data_ready);
     free(free_cores);
+    free(free_accs);
     free(chan_free);
     free(slot_arrival);
     free(state);
@@ -548,7 +599,7 @@ int32_t hqr_simulate_cluster_batch(
             rank + t0, task_of_rank + t0,
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
-            site_of, data_reuse,
+            site_of, data_reuse, 0, NULL,
             out_makespan + p, out_busy + p, out_messages + p);
         free(dur);
     }
@@ -556,205 +607,6 @@ int32_t hqr_simulate_cluster_batch(
         if (out_rc[p] != 0)
             return 1;
     return 0;
-}
-
-/* ------------------------------------------------------------------ *
- * Accelerated-cluster event loop.  Mirrors AcceleratedSimulator.run.
- * Event codes: t = CPU finish, ntasks+t = accelerator finish,
- * 2*ntasks+t = data arrival.  Ready-queue keys are task ids (the
- * reference pushes (t, t)).
- * ------------------------------------------------------------------ */
-int32_t hqr_simulate_acc(
-    int64_t ntasks, int32_t nnodes, int32_t cores_per_node, int32_t accs_per_node,
-    const double *cpu_dur, const double *acc_dur, const uint8_t *offload,
-    const int32_t *node_of, const int32_t *waiting_init,
-    const int64_t *succ_ptr, const int32_t *succ_idx,
-    const int32_t *edge_slot, int64_t nslots,
-    int32_t serialized, double lat, double bwt,
-    double *out_makespan, double *out_busy, int64_t *out_messages)
-{
-    int32_t rc = -1;
-    int32_t *waiting = NULL, *free_cores = NULL, *free_accs = NULL;
-    double *data_ready = NULL, *chan_free = NULL, *slot_arrival = NULL;
-    uint8_t *state = NULL;
-    iheap *cpuq = NULL, *accq = NULL;
-    evheap ev = {NULL, NULL, 0};
-
-    waiting = (int32_t *)malloc((size_t)ntasks * sizeof(int32_t));
-    data_ready = (double *)calloc((size_t)ntasks, sizeof(double));
-    free_cores = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    free_accs = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    chan_free = (double *)calloc((size_t)nnodes, sizeof(double));
-    slot_arrival = (double *)malloc((size_t)(nslots > 0 ? nslots : 1) * sizeof(double));
-    state = (uint8_t *)calloc((size_t)ntasks, 1);
-    cpuq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
-    accq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
-    ev.t = (double *)malloc((size_t)(2 * ntasks + 4) * sizeof(double));
-    ev.c = (int64_t *)malloc((size_t)(2 * ntasks + 4) * sizeof(int64_t));
-    if (!waiting || !data_ready || !free_cores || !free_accs || !chan_free ||
-        !slot_arrival || !state || !cpuq || !accq || !ev.t || !ev.c)
-        goto done;
-
-    memcpy(waiting, waiting_init, (size_t)ntasks * sizeof(int32_t));
-    for (int32_t i = 0; i < nnodes; i++) {
-        free_cores[i] = cores_per_node;
-        free_accs[i] = accs_per_node;
-    }
-    for (int64_t i = 0; i < nslots; i++)
-        slot_arrival[i] = -1.0;
-
-    double busy = 0.0, finish = 0.0;
-    int64_t messages = 0;
-
-#define ALAUNCH(T, START, ON_ACC)                                             \
-    do {                                                                      \
-        state[T] = 2;                                                         \
-        double dur_ = (ON_ACC) ? acc_dur[T] : cpu_dur[T];                     \
-        double end_ = (START) + dur_;                                         \
-        busy += dur_;                                                         \
-        if (end_ > finish)                                                    \
-            finish = end_;                                                    \
-        ev_push(&ev, end_, ((ON_ACC) ? ntasks : 0) + (int64_t)(T));           \
-    } while (0)
-
-#define ATRY_START(T, NOW)                                                    \
-    do {                                                                      \
-        int32_t node_ = node_of[T];                                           \
-        if (offload[T] && free_accs[node_] > 0) {                             \
-            free_accs[node_]--;                                               \
-            ALAUNCH(T, NOW, 1);                                               \
-        } else if (free_cores[node_] > 0) {                                   \
-            free_cores[node_]--;                                              \
-            ALAUNCH(T, NOW, 0);                                               \
-        } else {                                                              \
-            state[T] = 1;                                                     \
-            if (ih_push(offload[T] ? &accq[node_] : &cpuq[node_],             \
-                        (int32_t)(T)) < 0)                                    \
-                goto done;                                                    \
-        }                                                                     \
-    } while (0)
-
-/* lazy-deletion pop: heap keys are task ids */
-#define APOP(H, OUT)                                                          \
-    do {                                                                      \
-        (OUT) = -1;                                                           \
-        while ((H)->len > 0) {                                                \
-            int32_t cand_ = ih_pop(H);                                        \
-            if (state[cand_] == 1) {                                          \
-                (OUT) = cand_;                                                \
-                break;                                                        \
-            }                                                                 \
-        }                                                                     \
-    } while (0)
-
-    for (int64_t t = 0; t < ntasks; t++)
-        if (waiting[t] == 0)
-            ATRY_START(t, 0.0);
-
-    while (ev.len > 0) {
-        double now;
-        int64_t code;
-        ev_pop(&ev, &now, &code);
-        if (code >= 2 * ntasks) {
-            int64_t t = code - 2 * ntasks;
-            ATRY_START(t, now);
-            continue;
-        }
-        int64_t t;
-        int32_t node;
-        if (code >= ntasks) {
-            /* accelerator freed: only update tasks may take it */
-            t = code - ntasks;
-            node = node_of[t];
-            int64_t nxt;
-            APOP(&accq[node], nxt);
-            if (nxt >= 0)
-                ALAUNCH(nxt, now, 1);
-            else
-                free_accs[node]++;
-        } else {
-            /* core freed: prefer a CPU-only task, else steal an update */
-            t = code;
-            node = node_of[t];
-            int64_t nxt;
-            APOP(&cpuq[node], nxt);
-            if (nxt < 0)
-                APOP(&accq[node], nxt);
-            if (nxt >= 0)
-                ALAUNCH(nxt, now, 0);
-            else
-                free_cores[node]++;
-        }
-        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-            int32_t s = succ_idx[i];
-            int32_t slot = edge_slot[i];
-            double arrival;
-            if (slot < 0)
-                arrival = now;
-            else {
-                arrival = slot_arrival[slot];
-                if (arrival < 0) {
-                    int32_t dest = node_of[s];
-                    if (serialized) {
-                        double depart = now;
-                        if (chan_free[node] > depart)
-                            depart = chan_free[node];
-                        if (chan_free[dest] > depart)
-                            depart = chan_free[dest];
-                        chan_free[node] = depart + bwt;
-                        chan_free[dest] = depart + bwt;
-                        arrival = depart + lat + bwt;
-                    } else
-                        arrival = now + lat + bwt;
-                    slot_arrival[slot] = arrival;
-                    messages++;
-                }
-            }
-            if (arrival > data_ready[s])
-                data_ready[s] = arrival;
-            if (--waiting[s] == 0) {
-                double avail = data_ready[s];
-                if (avail <= now)
-                    ATRY_START(s, now);
-                else
-                    ev_push(&ev, avail, 2 * ntasks + (int64_t)s);
-            }
-        }
-    }
-
-#undef APOP
-#undef ATRY_START
-#undef ALAUNCH
-
-    rc = 0;
-    for (int64_t t = 0; t < ntasks; t++)
-        if (waiting[t] > 0) {
-            rc = 1;
-            break;
-        }
-    *out_makespan = finish;
-    *out_busy = busy;
-    *out_messages = messages;
-
-done:
-    if (cpuq)
-        for (int32_t i = 0; i < nnodes; i++)
-            free(cpuq[i].d);
-    if (accq)
-        for (int32_t i = 0; i < nnodes; i++)
-            free(accq[i].d);
-    free(cpuq);
-    free(accq);
-    free(waiting);
-    free(data_ready);
-    free(free_cores);
-    free(free_accs);
-    free(chan_free);
-    free(slot_arrival);
-    free(state);
-    free(ev.t);
-    free(ev.c);
-    return rc;
 }
 """
 
@@ -838,7 +690,7 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_simulate_cluster.argtypes = [
         i64, i32, i32, f64p, i32p, i32p, i64p, i32p, i32p, i64,
         i32p, i32p, i32, i32, f64, f64, f64, f64, i32p, i32,
-        f64p, f64p, i64p,
+        i32, f64p, f64p, f64p, i64p,
     ]
     lib.hqr_openmp.restype = i32
     lib.hqr_openmp.argtypes = []
@@ -848,12 +700,6 @@ def _build() -> ctypes.CDLL | None:
         f64p, i8p, i32p, i32p, i64p, i32p, i32p,
         i32p, i32p, i32, i32, f64, f64, f64, f64, i32p, i32,
         f64p, f64p, i64p, i32p,
-    ]
-    lib.hqr_simulate_acc.restype = i32
-    lib.hqr_simulate_acc.argtypes = [
-        i64, i32, i32, i32, f64p, f64p, u8p, i32p, i32p,
-        i64p, i32p, i32p, i64, i32, f64, f64,
-        f64p, f64p, i64p,
     ]
     return lib
 

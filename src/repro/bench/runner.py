@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.bench.parallel import parallel_map
-from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.profile import stage
@@ -98,15 +97,9 @@ def run_eliminations(
     """Simulate an elimination list under a bench setup.
 
     Uses the compiled array pipeline (elimination list straight to a
-    :class:`~repro.dag.compiled.CompiledGraph`, no Task objects) unless
-    ``REPRO_SIM_CORE=reference``.
+    :class:`~repro.dag.compiled.CompiledGraph`, no Task objects).
     """
     setup = setup or BenchSetup()
-    from repro.runtime.core import core_mode
-
-    if core_mode() == "reference":
-        graph = TaskGraph.from_eliminations(elims, m, n)
-        return setup.simulator(layout).run(graph)
     from repro.dag.compiled import compiled_from_eliminations
     from repro.runtime.core import run_core
 
@@ -164,12 +157,6 @@ def run_config(
     config (the explorer, repeated figure runs) skip DAG construction.
     """
     setup = setup or BenchSetup()
-    from repro.runtime.core import core_mode
-
-    if core_mode() == "reference":
-        return run_eliminations(
-            hqr_elimination_list(m, n, config), m, n, setup=setup, layout=layout
-        )
     from repro.runtime.core import run_core
 
     lay = layout if layout is not None else setup.layout
@@ -211,8 +198,8 @@ def run_config_sweep(
       out over the pool, then load back through the memory-mapped
       cache) and all points are simulated by one :func:`~repro.runtime.
       core.run_core_batch` call.
-    * **per-point path** — otherwise (pure-Python core, the reference
-      engine, task-level recording).  :func:`run_config` builds and
+    * **per-point path** — otherwise (pure-Python core, task-level
+      recording).  :func:`run_config` builds and
       simulates each point, fanned out by :func:`~repro.bench.parallel.
       parallel_map`.
 
@@ -221,7 +208,7 @@ def run_config_sweep(
     recorder, and the caller's would see nothing.
     """
     from repro.obs.events import active as _obs_active
-    from repro.runtime.core import _pick_engine, core_mode
+    from repro.runtime.core import _pick_engine
 
     setup = setup or BenchSetup()
     points = list(points)
@@ -229,11 +216,7 @@ def run_config_sweep(
     if rec is not None:
         workers = 1
     want_tasks = rec is not None and rec.want_tasks
-    if (
-        core_mode() != "reference"
-        and not want_tasks
-        and _pick_engine(None) is not None
-    ):
+    if not want_tasks and _pick_engine(None) is not None:
         return _sweep_c(points, setup, workers)
     items = [(m, n, cfg, setup) for m, n, cfg in points]
     return parallel_map(_run_point, items, workers=workers)

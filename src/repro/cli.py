@@ -949,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=("auto", "c", "python", "reference"),
+        choices=("auto", "c", "python"),
         help="pin the simulation core for this run (REPRO_SIM_CORE)",
     )
     p.add_argument(

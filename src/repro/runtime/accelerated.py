@@ -7,21 +7,25 @@ GEMM-like *update* kernels (UNMQR/TSMQR/TTMQR) at an accelerator rate,
 while the latency-bound factorization kernels stay on the CPU cores — the
 standard split in GPU tile-QR implementations.
 
-The scheduler keeps two ready queues per node (CPU-only tasks, and update
-tasks that may run anywhere) and two resource pools; data movement uses
-the same per-node communication channel as :class:`ClusterSimulator`
-(host-device transfers are folded into the accelerator rate).
+The scheduling itself is the unified core's accelerator-pool capability
+(:func:`repro.runtime.core.run_core`): two ready queues per node (CPU-only
+tasks, and update tasks that may run anywhere) and two resource pools,
+with the same per-node communication channels and inter-site links as
+:class:`ClusterSimulator` (host-device transfers are folded into the
+accelerator rate).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.dag.compiled import KIND_ORDER
 from repro.dag.graph import TaskGraph
 from repro.kernels.weights import KernelKind, KernelRates, kernel_flops
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import SimulationResult, qr_flops
+from repro.runtime.simulator import SimulationResult
 from repro.tiles.layout import Layout
 
 
@@ -50,6 +54,17 @@ class AcceleratedMachine:
         """Accelerator execution time of an update kernel."""
         return kernel_flops(kind, b) / (self.acc_rates.rate(kind) * 1e9)
 
+    def kind_seconds(self, b: int) -> np.ndarray:
+        """Accelerator seconds per kernel kind (``KIND_ORDER``), -1.0 for
+        the kinds that stay on the CPU — the core's ``acc_seconds``."""
+        return np.array(
+            [
+                self.acc_task_seconds(k, b) if k in ACC_KERNELS else -1.0
+                for k in KIND_ORDER
+            ],
+            dtype=np.float64,
+        )
+
     def peak_gflops(self) -> float:
         """CPU + accelerator peak."""
         return self.base.peak_gflops() + (
@@ -71,158 +86,16 @@ class AcceleratedSimulator:
         self.b = b
 
     def run(self, graph: TaskGraph) -> SimulationResult:
-        """Simulate; dispatches to the compiled array core (bit-identical)
-        unless ``REPRO_SIM_CORE=reference``."""
-        from repro.runtime.compiled import simulate_compiled_acc
-        from repro.runtime.core import core_mode
+        """Simulate through the unified core's accelerator pool."""
+        from repro.dag.compiled import compile_graph
+        from repro.runtime.core import run_core
 
-        if core_mode() != "reference":
-            from repro.dag.compiled import compile_graph
-
-            cg = compile_graph(graph, self.layout, self.machine.base, self.b)
-            return simulate_compiled_acc(cg, self.machine, self.b)
-        return self.run_reference(graph)
-
-    def run_reference(self, graph: TaskGraph) -> SimulationResult:
-        """The reference pure-Python event loop."""
         acc = self.machine
-        base, b = acc.base, self.b
-        ntasks = len(graph.tasks)
-        if ntasks == 0:
-            return SimulationResult(0.0, 0.0, 0, 0, 0.0, base.cores, None)
-
-        owner = self.layout.owner
-        node_of = []
-        offload = []  # accelerator-eligible?
-        cpu_secs = []
-        acc_secs = []
-        for t in graph.tasks:
-            col = t.panel if t.col < 0 else t.col
-            node_of.append(owner(t.row, col))
-            eligible = acc.accelerators > 0 and t.kind in ACC_KERNELS
-            offload.append(eligible)
-            cpu_secs.append(base.task_seconds(t.kind, b))
-            acc_secs.append(acc.acc_task_seconds(t.kind, b) if eligible else 0.0)
-
-        preds, succs = graph.predecessors, graph.successors
-        waiting = [len(p) for p in preds]
-        data_ready = [0.0] * ntasks
-        free_cores = [base.cores_per_node] * base.nodes
-        free_accs = [acc.accelerators] * base.nodes
-        cpu_heaps: list[list] = [[] for _ in range(base.nodes)]
-        acc_heaps: list[list] = [[] for _ in range(base.nodes)]  # update tasks
-        chan_free = [0.0] * base.nodes
-        tile_bytes = base.tile_bytes(b)
-        bw_time = (
-            tile_bytes / base.bandwidth if base.bandwidth != float("inf") else 0.0
-        )
-        latency = base.latency
-        serialized = base.comm_serialized
-
-        sent: dict[tuple[int, int], float] = {}
-        events: list[tuple[float, int, int, int]] = []
-        # event kinds: 0 = finished on CPU, 1 = finished on accelerator,
-        # 2 = data arrival
-        messages = 0
-        busy = 0.0
-        finish = 0.0
-        QUEUED, LAUNCHED = 1, 2
-        state = bytearray(ntasks)
-
-        def launch(t: int, start: float, on_acc: bool) -> None:
-            nonlocal busy, finish
-            state[t] = LAUNCHED
-            dur = acc_secs[t] if on_acc else cpu_secs[t]
-            end = start + dur
-            busy += dur
-            if end > finish:
-                finish = end
-            heapq.heappush(events, (end, 1 if on_acc else 0, t, 0))
-
-        def try_start(t: int, now: float) -> None:
-            node = node_of[t]
-            # updates prefer an idle accelerator (they run ~10x faster there)
-            if offload[t] and free_accs[node] > 0:
-                free_accs[node] -= 1
-                launch(t, now, True)
-            elif free_cores[node] > 0:
-                free_cores[node] -= 1
-                launch(t, now, False)
-            else:
-                state[t] = QUEUED
-                heap = acc_heaps[node] if offload[t] else cpu_heaps[node]
-                heapq.heappush(heap, (t, t))
-
-        def pop(heap) -> int | None:
-            while heap:
-                _, t = heapq.heappop(heap)
-                if state[t] == QUEUED:
-                    return t
-            return None
-
-        for t in range(ntasks):
-            if waiting[t] == 0:
-                try_start(t, 0.0)
-
-        while events:
-            now, kind, t, _ = heapq.heappop(events)
-            if kind == 2:
-                try_start(t, now)
-                continue
-            node = node_of[t]
-            if kind == 1:
-                # accelerator freed: only update tasks may take it
-                nxt = pop(acc_heaps[node])
-                if nxt is not None:
-                    launch(nxt, now, True)
-                else:
-                    free_accs[node] += 1
-            else:
-                # core freed: prefer a CPU-only task, else steal an update
-                nxt = pop(cpu_heaps[node])
-                on_acc = False
-                if nxt is None:
-                    nxt = pop(acc_heaps[node])
-                if nxt is not None:
-                    launch(nxt, now, on_acc)
-                else:
-                    free_cores[node] += 1
-            for s in succs[t]:
-                dest = node_of[s]
-                if dest == node:
-                    arrival = now
-                else:
-                    key = (t, dest)
-                    arrival = sent.get(key, -1.0)
-                    if arrival < 0:
-                        if serialized:
-                            depart = max(now, chan_free[node], chan_free[dest])
-                            chan_free[node] = depart + bw_time
-                            chan_free[dest] = depart + bw_time
-                            arrival = depart + latency + bw_time
-                        else:
-                            arrival = now + latency + bw_time
-                        sent[key] = arrival
-                        messages += 1
-                if arrival > data_ready[s]:
-                    data_ready[s] = arrival
-                waiting[s] -= 1
-                if waiting[s] == 0:
-                    avail = data_ready[s]
-                    if avail <= now:
-                        try_start(s, now)
-                    else:
-                        heapq.heappush(events, (avail, 2, s, 0))
-
-        if any(w > 0 for w in waiting):  # pragma: no cover - cycle guard
-            raise RuntimeError("simulation stalled with unfinished tasks")
-
-        return SimulationResult(
-            makespan=finish,
-            flops=qr_flops(graph.m * b, graph.n * b),
-            messages=messages,
-            bytes_sent=messages * tile_bytes,
-            busy_seconds=busy,
-            cores=base.cores,
-            trace=None,
-        )
+        cg = compile_graph(graph, self.layout, acc.base, self.b)
+        return run_core(
+            cg,
+            acc.base,
+            self.b,
+            accelerators=acc.accelerators,
+            acc_seconds=acc.kind_seconds(self.b),
+        ).result

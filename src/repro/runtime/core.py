@@ -10,6 +10,11 @@ loop **once**, parameterized by capability flags:
   pure-Python loop below, selected by ``REPRO_SIM_CORE`` / the ``core``
   argument; the C core is used only when no Python-visible capability
   (tracing, fault hooks, task-level recording) is active;
+* **accelerator pool** — ``accelerators`` devices per node run the
+  offloadable (update) kernels at their own per-kind rate: a second
+  per-node ready heap, updates prefer an idle device, a freed core takes
+  a CPU-only task first and then steals an update, a freed device takes
+  only updates (the §VI future-work platform);
 * **tracing** — ``record_trace=True`` captures the task trace and (in
   fault-free runs) the comm trace consumed by the verify oracle;
 * **observability** — a :mod:`repro.obs` recorder at ``tasks`` level
@@ -23,13 +28,14 @@ loop **once**, parameterized by capability flags:
   branch (asserted by ``tests/runtime/test_core_equivalence.py``).
 
 Event encoding is uniform across all modes: heap entries are
-``(time, code, gen)`` where ``code = task`` for a finish,
-``ntasks + task`` for a data arrival, and ``2*ntasks + i`` for crash
-``i``.  At equal times this orders finishes before arrivals before
-crashes and each kind by task id — exactly the total order of the
-historical per-engine encodings, so the unification is bitwise-neutral
-(proven against golden fixtures captured from the pre-refactor engines;
-see :mod:`repro.runtime.golden`).
+``(time, code, gen)`` where ``code = task`` for a finish on a core,
+``ntasks + task`` for a finish on an accelerator, ``2*ntasks + task``
+for a data arrival, and ``3*ntasks + i`` for crash ``i``.  At equal
+times this orders core finishes before accelerator finishes before
+arrivals before crashes and each kind by task id — exactly the total
+order of the historical per-engine encodings, so the unification is
+bitwise-neutral (proven against golden fixtures captured from the
+pre-refactor engines; see :mod:`repro.runtime.golden`).
 
 Ready queues hold dense priority *ranks*: the rank permutation sorts
 ``(priority, task id)``, so rank order reproduces the reference
@@ -76,11 +82,11 @@ __all__ = [
 # engine selection
 # --------------------------------------------------------------------- #
 def core_mode() -> str:
-    """Engine selection from ``REPRO_SIM_CORE`` (auto/c/python/reference)."""
+    """Engine selection from ``REPRO_SIM_CORE`` (auto/c/python)."""
     mode = os.environ.get("REPRO_SIM_CORE", "auto").lower()
-    if mode not in ("auto", "c", "python", "reference"):
+    if mode not in ("auto", "c", "python"):
         raise ValueError(
-            f"REPRO_SIM_CORE must be auto/c/python/reference, got {mode!r}"
+            f"REPRO_SIM_CORE must be auto/c/python, got {mode!r}"
         )
     return mode
 
@@ -225,6 +231,8 @@ def _py_loop(
     serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter, site,
     data_reuse,
     *,
+    accs=0,
+    acc_dur=None,
     rec=None,
     nbytes=0,
     record_trace=False,
@@ -236,10 +244,13 @@ def _py_loop(
 
     One body serves every capability combination; each per-mode branch
     states an invariant exactly once.  All inputs are plain lists/ints so
-    the hot loop never touches numpy.  Returns
+    the hot loop never touches numpy.  ``accs > 0`` turns on the
+    accelerator pool: ``acc_dur[t]`` is t's device seconds, negative for
+    a CPU-only kernel.  Returns
     ``(finish_time, busy, messages, trace, comm, fault_out)``.
     """
     faulty = fault is not None
+    pooled = accs > 0
     observe = rec is not None and rec.want_tasks
     push, pop = heapq.heappush, heapq.heappop
 
@@ -250,6 +261,7 @@ def _py_loop(
     slot_arrival = [-1.0] * nslots
     state = bytearray(ntasks)  # 0 new, 1 queued, 2 launched
     events: list[tuple[float, int, int]] = []
+    two_n = 2 * ntasks
     busy = 0.0
     finish_time = 0.0
     messages = 0
@@ -464,7 +476,80 @@ def _py_loop(
                 if data_ready[t] <= tc:
                     try_start(t, tc)
                 else:
-                    push(events, (data_ready[t], ntasks + t, gen[t]))
+                    push(events, (data_ready[t], two_n + t, gen[t]))
+
+    elif pooled:
+        free_accs = [accs] * nnodes
+        acc_ready = [[] for _ in range(nnodes)]  # offloadable tasks
+
+        def launch(t: int, start: float, on_acc: bool = False) -> None:
+            nonlocal busy, finish_time
+            state[t] = 2
+            d = acc_dur[t] if on_acc else dur[t]
+            end = start + d
+            busy += d
+            if end > finish_time:
+                finish_time = end
+            push(events, (end, ntasks + t if on_acc else t, 0))
+            if trace is not None:
+                trace.append((t, node[t], start, end))
+            if observe:
+                rec.task(t, node[t], start, end)
+
+        # the pool's own try_start replaces the shared one
+        def try_start(t: int, now: float) -> None:  # noqa: F811
+            nd = node[t]
+            dr = data_ready[t]
+            start = dr if dr > now else now
+            offload = acc_dur[t] >= 0.0
+            # updates prefer an idle accelerator (they run faster there)
+            if offload and free_accs[nd] > 0:
+                free_accs[nd] -= 1
+                launch(t, start, True)
+            elif free_cores[nd] > 0:
+                free_cores[nd] -= 1
+                launch(t, start)
+            else:
+                state[t] = 1
+                push(acc_ready[nd] if offload else ready[nd], rank[t])
+                if queued is not None:
+                    queued[nd] += 1
+                    rec.queue_depth(now, nd, queued[nd])
+
+        def pop_ready(heap) -> int:
+            while heap:
+                cand = task_of_rank[pop(heap)]
+                if state[cand] == 1:
+                    return cand
+            return -1
+
+        def release(code: int, now: float) -> int:
+            """Hand the unit freed by finish ``code`` its next task;
+            returns the finished task."""
+            if code >= ntasks:
+                # accelerator freed: only offloadable tasks may take it
+                t = code - ntasks
+                nd = node[t]
+                nxt = pop_ready(acc_ready[nd])
+                on_acc = True
+                if nxt < 0:
+                    free_accs[nd] += 1
+            else:
+                # core freed: a CPU-only task first, else steal an update
+                t = code
+                nd = node[t]
+                nxt = pop_ready(ready[nd])
+                if nxt < 0:
+                    nxt = pop_ready(acc_ready[nd])
+                on_acc = False
+                if nxt < 0:
+                    free_cores[nd] += 1
+            if nxt >= 0:
+                if queued is not None:
+                    queued[nd] -= 1
+                    rec.queue_depth(now, nd, queued[nd])
+                launch(nxt, now, on_acc)
+            return t
 
     else:
 
@@ -486,18 +571,18 @@ def _py_loop(
     for t in range(ntasks):
         if waiting[t] == 0:
             try_start(t, 0.0)
+    three_n = 3 * ntasks
     if faulty:
         for ci, c in enumerate(schedule.crashes):
-            push(events, (c.time, 2 * ntasks + ci, 0))
+            push(events, (c.time, three_n + ci, 0))
 
-    two_n = 2 * ntasks
     while events:
         now, code, g = pop(events)
-        if code >= ntasks:
-            if code >= two_n:  # crash event (fault hooks only)
-                handle_crash(schedule.crashes[code - two_n].node, now)
+        if code >= two_n:
+            if code >= three_n:  # crash event (fault hooks only)
+                handle_crash(schedule.crashes[code - three_n].node, now)
                 continue
-            a = code - ntasks
+            a = code - two_n
             if faulty:
                 # gated: a crash may have invalidated this arrival
                 if gen[a] == g and state[a] == 0 and waiting[a] == 0:
@@ -506,53 +591,56 @@ def _py_loop(
                 try_start(a, now)
             continue
         # task finish
-        t = code
-        if faulty:
-            if gen[t] != g:  # aborted execution
-                continue
+        if pooled:
+            # the freed core or accelerator picks its next task
+            t = release(code, now)
             nd = node[t]
-            finished[t] = 1
-            exec_node[t] = nd
-            executions += 1
-            if now > finish_time:
-                finish_time = now
-            if trace is not None:
-                trace.append((t, nd, start_of[t], now))
-            if observe:
-                rec.task(t, nd, start_of[t], now)
         else:
+            t = code
             nd = node[t]
-        # the freed core picks its next task
-        nxt = -1
-        if data_reuse:
-            # DAGuE heuristic: prefer a ready successor of the task that
-            # just finished — its data is still hot
-            best = -1
-            for i in range(sp[t], sp[t + 1]):
-                s = si[i]
-                if (
-                    state[s] == 1
-                    and node[s] == nd
-                    and data_ready[s] <= now
-                    and (best < 0 or rank[s] < rank[best])
-                ):
-                    best = s
-            nxt = best
-        if nxt < 0:
-            heap = ready[nd]
-            while heap:
-                cand = task_of_rank[pop(heap)]
-                if state[cand] == 1:
-                    nxt = cand
-                    break
-        if nxt >= 0:
-            if queued is not None:
-                queued[nd] -= 1
-                rec.queue_depth(now, nd, queued[nd])
-            dr = data_ready[nxt]
-            launch(nxt, dr if dr > now else now)
-        else:
-            free_cores[nd] += 1
+            if faulty:
+                if gen[t] != g:  # aborted execution
+                    continue
+                finished[t] = 1
+                exec_node[t] = nd
+                executions += 1
+                if now > finish_time:
+                    finish_time = now
+                if trace is not None:
+                    trace.append((t, nd, start_of[t], now))
+                if observe:
+                    rec.task(t, nd, start_of[t], now)
+            # the freed core picks its next task
+            nxt = -1
+            if data_reuse:
+                # DAGuE heuristic: prefer a ready successor of the task
+                # that just finished — its data is still hot
+                best = -1
+                for i in range(sp[t], sp[t + 1]):
+                    s = si[i]
+                    if (
+                        state[s] == 1
+                        and node[s] == nd
+                        and data_ready[s] <= now
+                        and (best < 0 or rank[s] < rank[best])
+                    ):
+                        best = s
+                nxt = best
+            if nxt < 0:
+                heap = ready[nd]
+                while heap:
+                    cand = task_of_rank[pop(heap)]
+                    if state[cand] == 1:
+                        nxt = cand
+                        break
+            if nxt >= 0:
+                if queued is not None:
+                    queued[nd] -= 1
+                    rec.queue_depth(now, nd, queued[nd])
+                dr = data_ready[nxt]
+                launch(nxt, dr if dr > now else now)
+            else:
+                free_cores[nd] += 1
         # propagate data to successors
         for i in range(sp[t], sp[t + 1]):
             s = si[i]
@@ -614,7 +702,7 @@ def _py_loop(
                 else:
                     push(
                         events,
-                        (avail, ntasks + s, gen[s] if faulty else 0),
+                        (avail, two_n + s, gen[s] if faulty else 0),
                     )
 
     if faulty:
@@ -647,7 +735,7 @@ def _c_cluster(
     lib, ntasks, nnodes, cores_per_node, dur, node, waiting,
     succ_ptr, succ_idx, edge_slot, nslots, rank, task_of_rank,
     serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter,
-    site_of, data_reuse,
+    site_of, data_reuse, accs, acc_dur,
 ):
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     out_mk, out_busy = f64(0.0), f64(0.0)
@@ -661,6 +749,7 @@ def _c_cluster(
         i32(1 if serialized else 0), i32(1 if hierarchical else 0),
         f64(lat_intra), f64(bwt_intra), f64(lat_inter), f64(bwt_inter),
         _ptr(site_of, i32), i32(1 if data_reuse else 0),
+        i32(accs), None if acc_dur is None else _ptr(acc_dur, f64),
         ctypes.byref(out_mk), ctypes.byref(out_busy), ctypes.byref(out_msgs),
     )
     if rc == 1:  # pragma: no cover - cycle guard
@@ -686,6 +775,8 @@ def run_core(
     record_trace: bool = False,
     fault: FaultHooks | None = None,
     engine_label: str | None = None,
+    accelerators: int = 0,
+    acc_seconds=None,
 ) -> CoreOutcome:
     """Run one compiled graph through the unified event loop.
 
@@ -695,7 +786,17 @@ def run_core(
     Python loop.  Both are bit-identical.  ``engine_label`` overrides the
     engine name in the obs run record (front ends keep their historical
     labels, e.g. ``reference``).
+
+    ``accelerators > 0`` equips every node with that many devices;
+    ``acc_seconds`` is then the per-kernel-kind device time, indexed like
+    ``cg.dur_table``, negative for kinds that stay on the CPU.  The pool
+    does not compose with fault hooks or data reuse (``ValueError``).
     """
+    if accelerators > 0:
+        if fault is not None:
+            raise ValueError("fault hooks do not support accelerators")
+        if data_reuse:
+            raise ValueError("data_reuse does not support accelerators")
     M = cg.m * b if M is None else M
     N = cg.n * b if N is None else N
     ntasks = cg.ntasks
@@ -726,6 +827,11 @@ def run_core(
         lat_intra, bwt_intra, lat_inter, bwt_inter, site,
     ) = _machine_params(machine, b)
     site_of = np.asarray(site, dtype=np.int32)
+    acc_dur = None
+    if accelerators > 0:
+        acc_dur = np.ascontiguousarray(
+            np.asarray(acc_seconds, dtype=np.float64)[cg.kind]
+        )
 
     lib = None
     if not record_trace and fault is None:
@@ -742,6 +848,7 @@ def run_core(
             cg.succ_ptr, cg.succ_idx, cg.edge_slot, cg.nslots,
             rank, task_of_rank, serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter, site_of, data_reuse,
+            accelerators, acc_dur,
         )
         if out is not None:
             makespan, busy, messages = out
@@ -790,6 +897,8 @@ def run_core(
         serialized, hierarchical,
         lat_intra, bwt_intra, lat_inter, bwt_inter, site,
         data_reuse,
+        accs=accelerators,
+        acc_dur=None if acc_dur is None else acc_dur.tolist(),
         rec=rec, nbytes=tile_bytes, record_trace=record_trace,
         **kw,
     )

@@ -37,9 +37,11 @@ from repro.tiles.layout import BlockCyclic2D, Cyclic1D, Layout
 
 __all__ = [
     "GOLDEN_RELPATH",
+    "AccGoldenCase",
     "FaultGoldenCase",
     "GoldenCase",
     "QRGoldenCase",
+    "acc_golden_cases",
     "capture_fixture",
     "compare_fixture",
     "comm_digest",
@@ -138,6 +140,20 @@ class FaultGoldenCase:
 
 
 @dataclass(frozen=True)
+class AccGoldenCase:
+    """A fault-free base case on an accelerator-equipped machine."""
+
+    name: str
+    base: GoldenCase
+    accelerators: int
+
+    def machine(self):
+        from repro.runtime.accelerated import AcceleratedMachine
+
+        return AcceleratedMachine(self.base.machine, self.accelerators)
+
+
+@dataclass(frozen=True)
 class QRGoldenCase:
     """One numeric factorization whose R factor is fingerprinted."""
 
@@ -222,6 +238,20 @@ def fault_golden_cases() -> list[FaultGoldenCase]:
     ]
 
 
+def acc_golden_cases() -> list[AccGoldenCase]:
+    """The frozen accelerated case set (same append-only discipline).
+
+    Flat machines only: the pre-unification accelerated loop ignored
+    inter-site links, so hierarchical values were never trustworthy.
+    """
+    cases = {c.name: c for c in golden_cases()}
+    return [
+        AccGoldenCase(f"{name}-acc{k}", cases[name], k)
+        for name in ("flat-serialized", "flat-unserialized", "cyclic-1d")
+        for k in (0, 1, 2)
+    ]
+
+
 def qr_golden_cases() -> list[QRGoldenCase]:
     return [
         QRGoldenCase("tall", 48, 16, 8, seed=0, config=HQRConfig(p=2, a=2)),
@@ -300,6 +330,20 @@ def _run_faulty(case: FaultGoldenCase) -> dict:
     }
 
 
+def _run_accelerated(case: AccGoldenCase) -> dict:
+    from repro.runtime.accelerated import AcceleratedSimulator
+
+    base = case.base
+    res = AcceleratedSimulator(case.machine(), base.layout(), base.b).run(
+        base.graph()
+    )
+    return {
+        "makespan": float_hex(res.makespan),
+        "busy_seconds": float_hex(res.busy_seconds),
+        "messages": res.messages,
+    }
+
+
 def _run_qr(case: QRGoldenCase) -> dict:
     import numpy as np
 
@@ -328,6 +372,9 @@ def capture_fixture() -> dict:
         ),
         "scalar": {c.name: _run_scalar(c) for c in golden_cases()},
         "faulty": {c.name: _run_faulty(c) for c in fault_golden_cases()},
+        "accelerated": {
+            c.name: _run_accelerated(c) for c in acc_golden_cases()
+        },
         "qr": {c.name: _run_qr(c) for c in qr_golden_cases()},
     }
 
@@ -335,7 +382,7 @@ def capture_fixture() -> dict:
 def compare_fixture(frozen: dict, fresh: dict) -> list[str]:
     """Field-level diff of two fixture dicts (empty = identical)."""
     diffs: list[str] = []
-    for section in ("scalar", "faulty", "qr"):
+    for section in ("scalar", "faulty", "accelerated", "qr"):
         a, b = frozen.get(section, {}), fresh.get(section, {})
         for name in sorted(set(a) | set(b)):
             if name not in a:

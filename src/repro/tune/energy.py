@@ -14,10 +14,6 @@ a whole proposal batch per call:
   :func:`~repro.runtime.core.run_core_batch`, a single
   Python→C call fanned out with OpenMP when the native core is present,
   bit-identical to per-point simulation otherwise.
-
-Under ``REPRO_SIM_CORE=reference`` the evaluator degrades to the
-reference event loop per point (there is no compiled graph to batch);
-energies stay bit-identical, only wall time changes.
 """
 
 from __future__ import annotations
@@ -128,16 +124,10 @@ class EnergyEvaluator:
 
     # ------------------------------------------------------------------ #
     def _simulate_fresh(self, fresh: dict[str, VerifyCase]) -> None:
-        from repro.runtime.core import core_mode
-
-        self.evaluations += len(fresh)
-        if core_mode() == "reference":
-            for key, case in fresh.items():
-                self._memo[key] = self._reference_makespan(case)
-            return
         from repro.bench.runner import compiled_graph_for
         from repro.runtime.core import run_core_batch
 
+        self.evaluations += len(fresh)
         items = list(fresh.items())
         graphs = [
             compiled_graph_for(
@@ -149,14 +139,3 @@ class EnergyEvaluator:
         results = run_core_batch(graphs, self.machine, self.b)
         for (key, _), res in zip(items, results):
             self._memo[key] = res.makespan
-
-    def _reference_makespan(self, case: VerifyCase) -> float:
-        from repro.dag.graph import TaskGraph
-        from repro.hqr.hierarchy import hqr_elimination_list
-        from repro.runtime.simulator import ClusterSimulator
-
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(self.m, self.n, case.config()), self.m, self.n
-        )
-        sim = ClusterSimulator(self.machine, case.layout(), self.b)
-        return sim.run_reference(graph).makespan

@@ -8,6 +8,10 @@ from repro.runtime import ClusterSimulator, Machine
 from repro.runtime.accelerated import AcceleratedMachine, AcceleratedSimulator
 from repro.tiles.layout import BlockCyclic2D
 
+# the machine grid of the compiled-equivalence suite (same directory),
+# including its hierarchical site_size=2 entry
+from test_compiled_equivalence import MACHINES
+
 
 def graph(m, n, cfg=None):
     cfg = cfg or HQRConfig(p=4, q=2, a=4, low_tree="greedy", high_tree="fibonacci")
@@ -39,17 +43,19 @@ class TestAcceleratedMachine:
 
 
 class TestAcceleratedSimulation:
-    def test_zero_accelerators_matches_plain_simulator(self, small_machine):
-        """With no accelerators the heterogeneous scheduler must agree with
-        the homogeneous one up to queueing-tie differences."""
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_zero_accelerators_matches_plain_simulator(self, machine):
+        """With no accelerators the heterogeneous scheduler *is* the
+        homogeneous one: same loop, same links, bit for bit."""
         g = graph(24, 8)
         lay = BlockCyclic2D(4, 2)
-        plain = ClusterSimulator(small_machine, lay, 280).run(g)
+        plain = ClusterSimulator(machine, lay, 280).run(g)
         acc = AcceleratedSimulator(
-            AcceleratedMachine(base=small_machine, accelerators=0), lay, 280
+            AcceleratedMachine(base=machine, accelerators=0), lay, 280
         ).run(g)
-        assert acc.makespan == pytest.approx(plain.makespan, rel=0.05)
-        assert acc.busy_seconds == pytest.approx(plain.busy_seconds)
+        assert acc.makespan == plain.makespan
+        assert acc.busy_seconds == plain.busy_seconds
+        assert acc.messages == plain.messages
 
     def test_accelerators_speed_up_updates(self, small_machine):
         g = graph(32, 16)
@@ -101,3 +107,50 @@ class TestAcceleratedSimulation:
             AcceleratedMachine(base=small_machine), BlockCyclic2D(2, 2), 280
         ).run(g)
         assert res.makespan == 0.0
+
+    def test_task_recording_emits_every_task(self, small_machine):
+        """Task-level obs recording sees the pooled schedule task by task."""
+        from repro.obs.events import recording
+
+        g = graph(16, 8)
+        sim = AcceleratedSimulator(
+            AcceleratedMachine(base=small_machine, accelerators=1),
+            BlockCyclic2D(4, 2),
+            280,
+        )
+        bare = sim.run(g)
+        with recording(level="tasks") as rec:
+            res = sim.run(g)
+        assert res.makespan == bare.makespan
+        assert sorted(task for task, *_ in rec.tasks) == list(range(len(g)))
+        assert len(rec.comms) == bare.messages
+
+
+class TestAcceleratorPoolLimits:
+    """Combinations the accelerator pool does not define are refused."""
+
+    @staticmethod
+    def _pooled(machine, **kw):
+        from repro.dag.compiled import compile_graph
+        from repro.runtime.core import run_core
+
+        acc = AcceleratedMachine(base=machine, accelerators=1)
+        cg = compile_graph(graph(8, 4), BlockCyclic2D(4, 2), machine, 280)
+        return run_core(
+            cg, machine, 280,
+            accelerators=1, acc_seconds=acc.kind_seconds(280), **kw,
+        )
+
+    def test_rejects_fault_hooks(self, small_machine):
+        from repro.resilience.faults import FaultSchedule
+        from repro.runtime.core import FaultHooks
+
+        hooks = FaultHooks(schedule=FaultSchedule(), replan=lambda dead: [])
+        with pytest.raises(ValueError, match="fault hooks"):
+            self._pooled(small_machine, fault=hooks)
+
+    def test_rejects_data_reuse(self, small_machine):
+        """The shared successor pick would hand a freed accelerator a
+        CPU-only task."""
+        with pytest.raises(ValueError, match="data_reuse"):
+            self._pooled(small_machine, data_reuse=True)

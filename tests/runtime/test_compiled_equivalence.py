@@ -1,4 +1,4 @@
-"""The compiled array core must be bit-identical to the reference simulators.
+"""The compiled array core must be bit-identical to the traced Python loop.
 
 Every assertion here is exact equality (``==`` on floats): the compiled
 event loop performs the same double-precision operations in the same
@@ -7,6 +7,8 @@ bytes, busy seconds — is a bug, not noise.
 """
 
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,12 +18,10 @@ from repro.dag.compiled import compile_graph, compiled_from_eliminations
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.runtime.accelerated import AcceleratedMachine, AcceleratedSimulator
-from repro.runtime.compiled import (
-    priority_ranks,
-    simulate_compiled,
-    simulate_compiled_acc,
-)
+from repro.runtime.accelerated import AcceleratedSimulator
+from repro.runtime.compiled import priority_ranks, simulate_compiled
+from repro.runtime.core import core_mode
+from repro.runtime.golden import GOLDEN_RELPATH, acc_golden_cases, float_hex
 from repro.runtime.machine import Machine
 from repro.runtime.priorities import make_priority
 from repro.runtime.simulator import ClusterSimulator
@@ -121,18 +121,25 @@ def test_priority_ranks_match_tuple_order():
 
 @pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("accelerators", [0, 1, 2])
-def test_accelerated_bit_identical(core, accelerators):
-    machine = AcceleratedMachine(
-        Machine(nodes=8, cores_per_node=3), accelerators=accelerators
-    )
-    layout = BlockCyclic2D(4, 2)
-    graph = graph_for(HQRConfig(p=4, q=2, a=2))
-    sim = AcceleratedSimulator(machine, layout, B)
-    ref = sim.run_reference(graph)
-    cg = compile_graph(graph, layout, machine.base, B)
-    res = simulate_compiled_acc(cg, machine, B, core=core)
-    exact(res, ref)
-    exact(sim.run(graph), ref)
+def test_accelerated_bit_identical(core, accelerators, monkeypatch):
+    """The AcceleratedSimulator front end reproduces the accelerated
+    goldens (frozen from the pre-unification loops) under either core."""
+    frozen = json.loads(
+        (pathlib.Path(__file__).resolve().parents[2] / GOLDEN_RELPATH)
+        .read_text()
+    )["accelerated"]
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    cases = [c for c in acc_golden_cases() if c.accelerators == accelerators]
+    assert cases
+    for case in cases:
+        base = case.base
+        res = AcceleratedSimulator(case.machine(), base.layout(), base.b).run(
+            base.graph()
+        )
+        want = frozen[case.name]
+        assert float_hex(res.makespan) == want["makespan"]
+        assert float_hex(res.busy_seconds) == want["busy_seconds"]
+        assert res.messages == want["messages"]
 
 
 def test_builder_matches_taskgraph_hqr():
@@ -154,14 +161,19 @@ def test_builder_matches_taskgraph_hqr():
     assert want.nslots == got.nslots
 
 
-def test_dispatch_env_reference(monkeypatch):
-    """REPRO_SIM_CORE=reference forces the original loop (same results)."""
+def test_dispatch_env_rejects_unknown_modes(monkeypatch):
+    """REPRO_SIM_CORE accepts only auto/c/python; anything else (the
+    retired ``reference`` engine included) fails loudly at dispatch."""
     graph = graph_for(HQRConfig(p=4, q=2))
-    machine = Machine(nodes=8, cores_per_node=3)
-    sim = ClusterSimulator(machine, BlockCyclic2D(4, 2), B)
-    fast = sim.run(graph)
-    monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-    exact(sim.run(graph), fast)
+    sim = ClusterSimulator(
+        Machine(nodes=8, cores_per_node=3), BlockCyclic2D(4, 2), B
+    )
+    for mode in ("reference", "bogus"):
+        monkeypatch.setenv("REPRO_SIM_CORE", mode)
+        with pytest.raises(ValueError, match="auto/c/python"):
+            core_mode()
+        with pytest.raises(ValueError, match="auto/c/python"):
+            sim.run(graph)
 
 
 def test_record_trace_still_works():

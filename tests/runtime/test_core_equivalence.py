@@ -4,8 +4,9 @@ Every capability combination of :func:`repro.runtime.core.run_core` must
 reproduce — bitwise — the values captured from the PRE-unification
 engines (``tests/runtime/fixtures/golden_core.json``): Python and C
 inner loops, trace recording, obs recording at both levels, batched
-dispatch, and fault hooks — including the empty-schedule
-``force_fault_loop`` identity that used to be its own verify engine.
+dispatch, fault hooks — including the empty-schedule
+``force_fault_loop`` identity that used to be its own verify engine —
+and the accelerator pool.
 """
 
 import json
@@ -23,6 +24,7 @@ from repro.runtime.core import (
 )
 from repro.runtime.golden import (
     GOLDEN_RELPATH,
+    acc_golden_cases,
     comm_digest,
     fault_golden_cases,
     float_hex,
@@ -37,6 +39,7 @@ FIXTURE = json.loads(
 
 CASES = {c.name: c for c in golden_cases()}
 FAULT_CASES = {c.name: c for c in fault_golden_cases()}
+ACC_CASES = {c.name: c for c in acc_golden_cases()}
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +137,30 @@ def test_batched_dispatch_matches_golden(core):
         )
         for name, res in zip(names, results):
             _assert_scalar(res, FIXTURE["scalar"][name])
+
+
+@pytest.mark.parametrize("core", ["python", "c"])
+@pytest.mark.parametrize("name", sorted(FIXTURE["accelerated"]))
+def test_accelerator_pool_matches_golden(name, core):
+    """The accelerator-pool capability reproduces the values frozen from
+    the pre-unification accelerated loops, under either inner loop."""
+    if core == "c" and not native_available():
+        pytest.skip("no C toolchain")
+    case = ACC_CASES[name]
+    base = case.base
+    acc = case.machine()
+    _, _, cg, _ = _compiled(base)
+    out = run_core(
+        cg, base.machine, base.b,
+        core=core,
+        accelerators=acc.accelerators,
+        acc_seconds=acc.kind_seconds(base.b),
+    )
+    assert out.engine == core
+    frozen = FIXTURE["accelerated"][name]
+    assert float_hex(out.result.makespan) == frozen["makespan"]
+    assert float_hex(out.result.busy_seconds) == frozen["busy_seconds"]
+    assert out.result.messages == frozen["messages"]
 
 
 @pytest.mark.parametrize("level", ["summary", "tasks"])

@@ -8,7 +8,7 @@ Usage::
 
 The fixture file (``tests/runtime/fixtures/golden_core.json``) freezes
 makespans, busy times, message counts, task/comm-trace digests, fault
-accounting, and R-factor fingerprints for a fixed case set — captured
+accounting, accelerated-cluster runs, and R-factor fingerprints for a fixed case set — captured
 from the pre-unification engines and enforced against the unified core
 by ``tests/runtime/test_core_equivalence.py`` and the
 ``core-equivalence`` CI job.  See :mod:`repro.runtime.golden`.
@@ -66,10 +66,11 @@ def main(argv=None) -> int:
             return 1
         nscalar = len(frozen.get("scalar", {}))
         nfault = len(frozen.get("faulty", {}))
+        nacc = len(frozen.get("accelerated", {}))
         nqr = len(frozen.get("qr", {}))
         print(
             f"golden fixtures clean: {nscalar} scalar, {nfault} faulty, "
-            f"{nqr} qr cases bitwise-identical"
+            f"{nacc} accelerated, {nqr} qr cases bitwise-identical"
         )
         return 0
 
