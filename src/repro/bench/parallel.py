@@ -14,9 +14,9 @@ raises in the serial path is logged with its index before the exception
 propagates, and points much slower than the sweep median are reported
 through the ``repro.bench.parallel`` logger.  Every line is a
 structured JSON record (:func:`repro.obs.logging.jsonlog`) with the
-human-readable phrase preserved in its ``msg`` field.  Per-point
-seconds also feed the ``sweep_point`` stage of the self-profiler when
-one is active (:mod:`repro.obs.profile`).
+human-readable phrase preserved in its ``msg`` field.  Each point of
+the serial path also runs inside a ``sweep_point`` span
+(:func:`repro.obs.tracing.span`).
 
 Worker count: ``REPRO_BENCH_WORKERS`` overrides; the default is the CPU
 count.  Functions submitted must be module-level (picklable), taking one
@@ -31,6 +31,7 @@ import time
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.logging import jsonlog
+from repro.obs.tracing import span
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -135,7 +136,8 @@ def _serial_map(fn: Callable[[T], R], seq: Sequence[T]) -> tuple[list[R], list[f
     for i, item in enumerate(seq):
         t0 = time.perf_counter()
         try:
-            results.append(fn(item))
+            with span("sweep_point", point=i):
+                results.append(fn(item))
         except Exception as exc:
             jsonlog(
                 "sweep_point_dropped", level="error", logger=log,
@@ -174,12 +176,6 @@ def _report_timings(seconds: list[float]) -> None:
                 f"(median {median:.4f}s, {ratio:.0f}x)",
             point=i, seconds=round(s, 6), median_s=round(median, 6),
         )
-    from repro.obs.profile import active_profile
-
-    prof = active_profile()
-    if prof is not None:
-        for s in seconds:
-            prof.add("sweep_point", s)
 
 
 def parallel_map(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.bench.parallel import parallel_map
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.obs.profile import stage
+from repro.obs.tracing import span
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator, SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
@@ -127,15 +127,14 @@ def compiled_graph_for(
     """
     from repro.dag.cache import default_cache, fingerprint
     from repro.dag.compiled import compiled_from_eliminations
-    from repro.obs.tracing import span
 
     def build():
-        with stage("elim"):
+        with span("hqr.compose"):
             elims = hqr_elimination_list(m, n, config)
-        with stage("dag_build"):
+        with span("dag.build"):
             return compiled_from_eliminations(elims, m, n, layout, machine, b)
 
-    with stage("graph"), span("graph", m=m, n=n):
+    with span("graph", m=m, n=n):
         try:
             key = fingerprint(m, n, config, layout, machine, b)
         except TypeError:
@@ -161,8 +160,7 @@ def run_config(
 
     lay = layout if layout is not None else setup.layout
     cg = compiled_graph_for(m, n, config, lay, setup.machine, setup.b)
-    with stage("simulate"):
-        return run_core(cg, setup.machine, setup.b).result
+    return run_core(cg, setup.machine, setup.b).result
 
 
 def _run_point(item) -> SimulationResult:

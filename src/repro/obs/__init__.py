@@ -1,20 +1,25 @@
 """Unified observability layer: events, metrics, profiling, gating.
 
-* :mod:`repro.obs.events` — pluggable engine instrumentation (task
-  spans, messages, faults, cache hits) with a bitwise-neutral no-op
-  fast path;
+One instrumentation primitive: :func:`span` times a block and hands the
+closed :class:`Span` to two sinks, the thread's attached
+:class:`RequestTrace` and the process-wide :class:`Recorder`; with
+neither listening it is a no-op.
+
+* :mod:`repro.obs.events` — the :class:`Recorder` sink: engine events
+  (task intervals, messages, faults, cache hits) and closed spans,
+  with a bitwise-neutral no-op fast path;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms plus
   per-kernel, per-hierarchy-level, per-link derivations, exported as
   JSON or Prometheus text (``repro metrics``), and a strict exposition
   parser for scrape tests;
-* :mod:`repro.obs.tracing` — request-scoped span trees with
-  trace-context propagation across the serving stack, a bounded
-  flight recorder, and trace export/pretty-printing
+* :mod:`repro.obs.tracing` — :func:`span` itself, request-scoped span
+  trees with trace-context propagation across the serving stack, a
+  bounded flight recorder, and trace export/pretty-printing
   (``repro obs trace``);
 * :mod:`repro.obs.logging` — one-line structured JSON logging shared
   by the daemon access log and the bench sweep logger;
-* :mod:`repro.obs.profile` — self-profiling of the harness (stage
-  timers + cProfile, ``repro profile``);
+* :mod:`repro.obs.profile` — self-profiling of the harness (span
+  totals + cProfile, ``repro profile``);
 * :mod:`repro.obs.report` — standalone HTML run summary
   (``repro obs report``);
 * :mod:`repro.obs.regression` — metadata-stamped ``BENCH_*.json``
@@ -32,7 +37,7 @@ from repro.obs.metrics import (
     parse_prometheus_text,
     utilization_timeline,
 )
-from repro.obs.profile import SelfProfile, format_profile, profile_run, stage
+from repro.obs.profile import format_profile, profile_run
 from repro.obs.regression import (
     compare_reports,
     format_gate,
@@ -55,7 +60,6 @@ __all__ = [
     "MetricsRegistry",
     "Recorder",
     "RequestTrace",
-    "SelfProfile",
     "Span",
     "Tracer",
     "active",
@@ -74,7 +78,6 @@ __all__ = [
     "recording",
     "run_metadata",
     "span",
-    "stage",
     "uninstall",
     "utilization_timeline",
     "write_html",

@@ -14,14 +14,16 @@ Event families (each a bounded in-memory buffer on the recorder):
 ``queue``   ``(time, node, depth)`` — ready-queue depth after each change
 ``faults``  dicts from the resilience loop (crash/recovery/drop/slowdown)
 ``cache``   ``(event, key)`` — compiled-graph cache hits and misses
-``runs``    one dict per engine invocation (engine, wall_s, makespan, …)
+``spans``   closed :func:`repro.obs.tracing.span` blocks (``simulate``
+            per engine dispatch, ``graph``/``hqr.compose``/``dag.build``
+            per graph, …); :meth:`Recorder.totals` sums them per name
 ``notes``   free-form dicts (native-core builds, engine fallbacks, …)
 
 Recording *levels*: ``"tasks"`` (default) captures everything, which
 forces the compiled simulators onto their pure-Python array loop (the C
 core cannot call back into Python); ``"summary"`` keeps the C core and
-records only run-level events.  Both engine choices are bit-identical,
-so the recorded results never depend on the level.
+skips the per-task/per-message families.  Both engine choices are
+bit-identical, so the recorded results never depend on the level.
 
 Usage::
 
@@ -64,7 +66,7 @@ class Recorder:
         "queue",
         "faults",
         "cache",
-        "runs",
+        "spans",
         "notes",
         "dropped_events",
     )
@@ -79,12 +81,13 @@ class Recorder:
         self.queue: list[tuple[float, int, int]] = []
         self.faults: list[dict] = []
         self.cache: list[tuple[str, str]] = []
-        self.runs: list[dict] = []
+        self.spans: list = []  # closed repro.obs.tracing.Span objects
         self.notes: list[dict] = []
         #: events dropped on overflow, by family — buffer pressure is
         #: attributable (exported as ...dropped_events_total{family=...})
         self.dropped_events: dict[str, int] = {
             "tasks": 0, "comms": 0, "queue": 0, "faults": 0, "cache": 0,
+            "spans": 0,
         }
 
     # -- emission (engines call these behind a ``rec is not None`` guard) --
@@ -127,9 +130,12 @@ class Recorder:
         else:
             self.dropped_events["cache"] += 1
 
-    def run(self, **info) -> None:
-        """One engine invocation: engine name, wall seconds, results."""
-        self.runs.append(info)
+    def span(self, sp) -> None:
+        """One closed :class:`~repro.obs.tracing.Span`."""
+        if len(self.spans) < self.max_events:
+            self.spans.append(sp)
+        else:
+            self.dropped_events["spans"] += 1
 
     def note(self, kind: str, **info) -> None:
         info["kind"] = kind
@@ -152,6 +158,15 @@ class Recorder:
         for event, _ in self.cache:
             out[event] = out.get(event, 0) + 1
         return out
+
+    def totals(self) -> dict[str, dict[str, float]]:
+        """Wall seconds and call count per span name, sorted by name."""
+        out: dict[str, dict[str, float]] = {}
+        for sp in self.spans:
+            entry = out.setdefault(sp.name, {"seconds": 0.0, "calls": 0})
+            entry["seconds"] += sp.duration
+            entry["calls"] += 1
+        return dict(sorted(out.items()))
 
 
 _recorder: Recorder | None = None
@@ -177,14 +192,15 @@ def uninstall() -> None:
 
 @contextmanager
 def recording(level: str = "tasks", max_events: int = 2_000_000):
-    """Context manager: install a fresh recorder, yield it, uninstall.
+    """Context manager: install a fresh recorder, yield it, restore.
 
-    Not reentrant — the inner recorder of nested ``recording()`` blocks
-    wins until it exits, then the slot empties (rather than restoring
-    the outer one); keep one active block per process.
+    Nested blocks stack: the inner recorder receives every event until
+    it exits, then the enclosing block's recorder is back in the slot.
     """
+    global _recorder
+    prev = _recorder
     rec = install(Recorder(level=level, max_events=max_events))
     try:
         yield rec
     finally:
-        uninstall()
+        _recorder = prev

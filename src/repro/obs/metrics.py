@@ -606,18 +606,19 @@ def derive_run_metrics(
             "makespan minus critical path (0 = DAG-depth-bound)",
         ).set(makespan - cp)
 
-    # -- engine runs --------------------------------------------------- #
-    if rec.runs:
+    # -- engine runs: one ``simulate`` span per dispatch --------------- #
+    runs = [sp for sp in rec.spans if sp.name == "simulate"]
+    if runs:
         run_wall = reg.counter(
             "repro_engine_wall_seconds_total", "engine wall time by engine"
         )
         run_count = reg.counter(
             "repro_engine_runs_total", "engine invocations by engine"
         )
-        for info in rec.runs:
-            engine = str(info.get("engine", "?"))
+        for sp in runs:
+            engine = str(sp.attrs.get("engine", "?"))
             run_count.inc(engine=engine)
-            run_wall.inc(float(info.get("wall_s", 0.0)), engine=engine)
+            run_wall.inc(sp.duration, engine=engine)
 
     if rec.dropped:
         dropped = reg.counter(

@@ -1,22 +1,23 @@
 """Self-profiling of the reproduction harness itself.
 
 Where the paper's metrics attribute *simulated* time, this module
-attributes the harness's own *wall* time: elimination-list construction
-vs. DAG build vs. cache lookups vs. the engine event loop vs. parallel
-sweep fan-out.  Two mechanisms:
+attributes the harness's own *wall* time: elimination-list composition
+vs. DAG build vs. cache lookups vs. the engine event loop vs. sweep
+dispatch.  Two mechanisms:
 
-* **Stage timers** — ``with stage("build"): ...`` accumulates wall
-  seconds per named stage into the installed :class:`SelfProfile`.
-  Inactive (no profile installed) the context manager is a single
-  global read, so instrumented call sites cost nothing in production.
-  ``repro.bench.runner`` and ``repro.bench.parallel`` are pre-wired.
+* **Spans** — the harness is pre-wired with :func:`repro.obs.tracing.
+  span` blocks (``graph``, ``hqr.compose``, ``dag.build``, ``simulate``,
+  ``dispatch_pack``, ``dispatch_compute``, ``sweep_point``);
+  :func:`profile_run` installs a ``summary`` recorder and reads its
+  per-name totals (:meth:`~repro.obs.events.Recorder.totals`).
 * **cProfile hooks** — :func:`profile_run` wraps a representative
   sweep in ``cProfile`` and reports the top cumulative functions next
-  to the stage table, for drill-down past the stage granularity.
+  to the span table, for drill-down past the span granularity.
 
-Nesting: stages nest freely and each level accumulates its own wall
-time, so ``graph`` (cache lookup + possible build) *contains* ``elim``
-and ``dag_build`` — subtracting them out yields pure cache overhead.
+Nesting: spans nest freely and each level accumulates its own wall
+time, so ``graph`` (cache lookup + possible build) *contains*
+``hqr.compose`` and ``dag.build`` — subtracting them out yields pure
+cache overhead.
 """
 
 from __future__ import annotations
@@ -25,72 +26,14 @@ import cProfile
 import io
 import pstats
 import time
-from contextlib import contextmanager
+
+from repro.obs.events import recording
+from repro.obs.tracing import span
 
 __all__ = [
-    "SelfProfile",
     "format_profile",
     "profile_run",
-    "profiling",
-    "stage",
 ]
-
-
-class SelfProfile:
-    """Accumulated wall seconds and call counts per named stage."""
-
-    def __init__(self) -> None:
-        self.stages: dict[str, list[float]] = {}  # name -> [seconds, count]
-
-    def add(self, name: str, seconds: float) -> None:
-        entry = self.stages.get(name)
-        if entry is None:
-            self.stages[name] = [seconds, 1]
-        else:
-            entry[0] += seconds
-            entry[1] += 1
-
-    def seconds(self, name: str) -> float:
-        return self.stages.get(name, [0.0, 0])[0]
-
-    def to_dict(self) -> dict[str, dict[str, float]]:
-        return {
-            name: {"seconds": s, "calls": int(c)}
-            for name, (s, c) in sorted(self.stages.items())
-        }
-
-
-_profile: SelfProfile | None = None
-
-
-def active_profile() -> SelfProfile | None:
-    return _profile
-
-
-@contextmanager
-def profiling():
-    """Install a fresh :class:`SelfProfile`, yield it, uninstall."""
-    global _profile
-    prof = SelfProfile()
-    _profile = prof
-    try:
-        yield prof
-    finally:
-        _profile = None
-
-
-@contextmanager
-def stage(name: str):
-    """Time the enclosed block into the active profile (no-op if none)."""
-    prof = _profile
-    if prof is None:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        prof.add(name, time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------- #
@@ -114,13 +57,15 @@ def profile_run(
 ) -> dict:
     """Profile the harness over one config + a small sweep.
 
-    Stages measured (serial pass, clean attribution): ``elim``
-    (elimination list), ``dag_build`` (compiled-graph construction),
+    Stages measured (serial pass, clean attribution): ``hqr.compose``
+    (elimination list), ``dag.build`` (compiled-graph construction),
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
-    loop).  The same points then go once through :func:`~repro.bench.
-    runner.run_config_sweep` (``dispatch``; on the C path its
-    ``dispatch_pack``/``dispatch_compute`` sub-stages split it into
-    setup, arena packing, and compute).  Returns a JSON-ready report.
+    dispatch).  The same points then go once through :func:`~repro.
+    bench.runner.run_config_sweep` (``dispatch``; on the C path its
+    ``dispatch_pack``/``dispatch_compute`` spans split it into setup,
+    arena packing, and compute).  Every stage is a span read back from
+    a ``summary`` recorder, so the sweep runs in-process.  Returns a
+    JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
     from repro.hqr.config import HQRConfig
@@ -136,7 +81,7 @@ def profile_run(
     report: dict = {"m": m, "n": n, "config": str(config), "points": len(points)}
 
     prof_ctx = cProfile.Profile() if with_cprofile else None
-    with profiling() as sp:
+    with recording("summary") as rec:
         t0 = time.perf_counter()
         if prof_ctx is not None:
             prof_ctx.enable()
@@ -146,13 +91,18 @@ def profile_run(
             prof_ctx.disable()
         serial_s = time.perf_counter() - t0
 
-        with stage("dispatch"):
+        with span("dispatch"):
             run_config_sweep(points, setup)
-    report["stages"] = sp.to_dict()
+    stages = rec.totals()
+
+    def seconds(name: str) -> float:
+        return stages.get(name, {}).get("seconds", 0.0)
+
+    report["stages"] = stages
     report["serial_wall_s"] = serial_s
-    dispatch_s = sp.seconds("dispatch")
-    pack_s = sp.seconds("dispatch_pack")
-    compute_s = sp.seconds("dispatch_compute")
+    dispatch_s = seconds("dispatch")
+    pack_s = seconds("dispatch_pack")
+    compute_s = seconds("dispatch_compute")
     report["dispatch"] = {
         "total_s": dispatch_s,
         "pack_s": pack_s,
@@ -161,9 +111,8 @@ def profile_run(
         # is neither arena packing nor the simulation itself
         "setup_s": max(0.0, dispatch_s - pack_s - compute_s),
     }
-    graph_s = sp.seconds("graph")
     report["cache_overhead_s"] = max(
-        0.0, graph_s - sp.seconds("elim") - sp.seconds("dag_build")
+        0.0, seconds("graph") - seconds("hqr.compose") - seconds("dag.build")
     )
 
     if prof_ctx is not None:
@@ -212,7 +161,7 @@ def format_profile(report: dict) -> str:
             f"    {name:>14}: {st['seconds']:8.3f}s  ({st['calls']} calls)"
         )
     lines.append(
-        f"  cache overhead (graph - elim - dag_build): "
+        f"  cache overhead (graph - hqr.compose - dag.build): "
         f"{report['cache_overhead_s']:.3f}s"
     )
     dispatch = report.get("dispatch")

@@ -9,10 +9,11 @@ server propagates back.
 
 Design constraints, in order:
 
-* **Bitwise neutrality.**  The core's off-path is a single ``None``
-  check on a module-global hook slot (the same discipline as
-  :func:`repro.obs.events.active`); no span machinery touches simulated
-  results, and the golden fixtures pin that.
+* **Bitwise neutrality.**  :func:`span` is the one way to time a block
+  anywhere in the package; with no trace attached and no
+  :class:`~repro.obs.events.Recorder` installed it is two ``None``
+  checks.  No span touches simulated results, and the golden fixtures
+  pin that.
 * **Determinism.**  Virtual-time traces (the stream bench) carry only
   virtual timestamps and ids derived from the job id, so the seeded
   bit-equality comparison holds with tracing on.
@@ -38,20 +39,20 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.obs import events as _events
+
 __all__ = [
     "ATTRIBUTION_STAGES",
     "FlightRecorder",
     "RequestTrace",
     "Span",
     "Tracer",
-    "active_core_hook",
     "attach",
     "chrome_span_events",
     "current_trace",
     "format_trace",
     "format_trace_diff",
     "format_traceparent",
-    "install_core_hook",
     "load_traces",
     "mint_span_id",
     "mint_trace_id",
@@ -59,7 +60,6 @@ __all__ = [
     "span",
     "stream_trace_id",
     "traces_jsonl",
-    "uninstall_core_hook",
 ]
 
 #: the stages whose durations are reported in a breakdown; ``plan`` is
@@ -241,8 +241,8 @@ def current_trace() -> RequestTrace | None:
 def attach(trace: RequestTrace | None):
     """Attach ``trace`` to this thread for the duration of the block.
 
-    While attached, :func:`span` and the core hook append spans to it;
-    ``attach(None)`` is a no-op shield (spans inside are dropped).
+    While attached, :func:`span` appends spans to it; ``attach(None)``
+    shields the enclosing trace (spans inside reach only the recorder).
     """
     prev_trace = getattr(_tls, "trace", None)
     prev_span = getattr(_tls, "span", None)
@@ -257,72 +257,34 @@ def attach(trace: RequestTrace | None):
 
 @contextmanager
 def span(name: str, **attrs):
-    """Time a stage against the attached trace; no-op when detached.
+    """Time the enclosed block as one :class:`Span`.
 
-    Nests: a ``span()`` inside another ``span()`` on the same thread
-    becomes a child of the enclosing one.
+    Two sinks listen: the trace attached to this thread (the span joins
+    its tree, as a child of the enclosing span) and the installed
+    :class:`~repro.obs.events.Recorder` (the span is appended to its
+    bounded list when it closes).  With neither, the block runs bare
+    and the context yields ``None``.
     """
     trace = getattr(_tls, "trace", None)
-    if trace is None:
+    rec = _events._recorder
+    if trace is None and rec is None:
         yield None
         return
     t0 = time.monotonic()
-    sp = Span(name, t0, t0, dict(attrs))
+    sp = Span(name, t0, t0, attrs)
     parent = getattr(_tls, "span", None)
-    (parent.children if parent is not None else trace.root.children).append(sp)
+    if parent is not None:
+        parent.children.append(sp)
+    elif trace is not None:
+        trace.root.children.append(sp)
     _tls.span = sp
     try:
         yield sp
     finally:
         sp.end = time.monotonic()
         _tls.span = parent
-
-
-# --------------------------------------------------------------------------- #
-# the core span hook                                                          #
-# --------------------------------------------------------------------------- #
-#
-# ``repro.runtime.core`` reads this slot once per run (mirroring the
-# events recorder): ``hook = active_core_hook()`` then, only when the
-# hook is not None, times the dispatch and calls
-# ``hook("simulate", t0, t1, attrs)``.  Emission lands on the thread's
-# attached trace, so bench sweeps with the hook installed but no trace
-# attached pay one None check inside the hook and nothing else.
-
-_core_hook = None
-_core_hook_refs = 0
-_core_hook_lock = threading.Lock()
-
-
-def _emit_core_span(name: str, start: float, end: float, attrs: dict) -> None:
-    trace = getattr(_tls, "trace", None)
-    if trace is None:
-        return
-    parent = getattr(_tls, "span", None)
-    sp = Span(name, start, end, dict(attrs))
-    (parent.children if parent is not None else trace.root.children).append(sp)
-
-
-def active_core_hook():
-    """The installed core span hook, or ``None`` (the fast path)."""
-    return _core_hook
-
-
-def install_core_hook() -> None:
-    """Install the span hook around the core entry points (refcounted)."""
-    global _core_hook, _core_hook_refs
-    with _core_hook_lock:
-        _core_hook_refs += 1
-        _core_hook = _emit_core_span
-
-
-def uninstall_core_hook() -> None:
-    """Drop one install; the hook clears when the last owner leaves."""
-    global _core_hook, _core_hook_refs
-    with _core_hook_lock:
-        _core_hook_refs = max(0, _core_hook_refs - 1)
-        if _core_hook_refs == 0:
-            _core_hook = None
+        if rec is not None:
+            rec.span(sp)
 
 
 # --------------------------------------------------------------------------- #

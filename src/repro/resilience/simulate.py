@@ -44,7 +44,6 @@ which is fine at recovery-benchmark scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.dag.graph import TaskGraph
@@ -158,8 +157,6 @@ class ResilientSimulator(ClusterSimulator):
         outcome in a :class:`FaultyRunResult`.
         """
         machine, b = self.machine, self.b
-        rec = _obs_active()
-        wall0 = time.perf_counter() if rec is not None else 0.0
         M = graph.m * b if M is None else M
         N = graph.n * b if N is None else N
         ntasks = len(graph.tasks)
@@ -197,23 +194,14 @@ class ResilientSimulator(ClusterSimulator):
             M=M, N=N,
             record_trace=self.record_trace,
             fault=hooks,
+            engine_label="resilient",
         )
         res, fo = out.result, out.fault
 
+        rec = _obs_active()
         if rec is not None:
             for ev in fault_events:
                 rec.fault(ev)
-            rec.run(
-                engine="resilient",
-                loop="cluster",
-                wall_s=time.perf_counter() - wall0,
-                makespan=res.makespan,
-                busy_seconds=res.busy_seconds,
-                messages=res.messages,
-                ntasks=ntasks,
-                crashes=len(schedule.crashes),
-                reexecuted=fo.executions - ntasks,
-            )
         return FaultyRunResult(
             makespan=res.makespan,
             flops=res.flops,

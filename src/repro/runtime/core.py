@@ -17,10 +17,14 @@ loop **once**, parameterized by capability flags:
   only updates (the §VI future-work platform);
 * **tracing** — ``record_trace=True`` captures the task trace and (in
   fault-free runs) the comm trace consumed by the verify oracle;
-* **observability** — a :mod:`repro.obs` recorder at ``tasks`` level
-  receives task spans / messages / queue depths; all emission sites are
-  pure appends behind ``observe`` checks, so the schedule and every
-  float are identical with or without a recorder;
+* **observability** — each non-empty :func:`run_core` and each fused C
+  batch is one ``simulate`` span (:func:`repro.obs.tracing.span`, with
+  an ``engine`` attribute), which reaches the attached request trace
+  and the installed recorder alike; a :mod:`repro.obs` recorder at
+  ``tasks`` level also receives task intervals / messages / queue
+  depths.  All emission sites are pure appends behind ``None`` checks,
+  so the schedule and every float are identical with or without a
+  listener;
 * **fault hooks** — a :class:`FaultHooks` bundle (schedule + replan
   callback) turns on the failure-aware branch: per-edge satisfaction,
   generation counters, lineage-cone recovery, message drops.  With an
@@ -61,8 +65,7 @@ import numpy as np
 from repro import _ccore
 from repro.dag.compiled import CompiledGraph
 from repro.obs.events import active as _obs_active
-from repro.obs.profile import stage
-from repro.obs.tracing import active_core_hook as _span_hook
+from repro.obs.tracing import span
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import SimulationResult, qr_flops
 
@@ -783,9 +786,10 @@ def run_core(
     Dispatches to the native C core when no Python-visible capability is
     requested (no tracing, no fault hooks, no task-level recording) and
     ``REPRO_SIM_CORE`` / ``core`` allows it; otherwise runs the unified
-    Python loop.  Both are bit-identical.  ``engine_label`` overrides the
-    engine name in the obs run record (front ends keep their historical
-    labels, e.g. ``reference``).
+    Python loop.  Both are bit-identical.  One ``simulate`` span
+    (:func:`repro.obs.tracing.span`) times each non-empty run;
+    ``engine_label`` overrides the Python loop's ``engine`` attribute
+    (front ends keep their historical labels, e.g. ``reference``).
 
     ``accelerators > 0`` equips every node with that many devices;
     ``acc_seconds`` is then the per-kernel-kind device time, indexed like
@@ -800,13 +804,6 @@ def run_core(
     M = cg.m * b if M is None else M
     N = cg.n * b if N is None else N
     ntasks = cg.ntasks
-    tile_bytes = machine.tile_bytes(b)
-    rec = _obs_active()
-    wall0 = time.perf_counter() if rec is not None else 0.0
-    # request-tracing span hook: the off-path is this single None check
-    # (bitwise-neutral — pinned by the golden core-equivalence fixtures)
-    hook = _span_hook()
-    span0 = time.monotonic() if hook is not None else 0.0
     if ntasks == 0:
         return CoreOutcome(
             result=SimulationResult(
@@ -819,20 +816,7 @@ def run_core(
             ),
         )
 
-    dur = np.ascontiguousarray(cg.dur_table[cg.kind])
-    waiting = np.ascontiguousarray(cg.pred_counts)
-    rank, task_of_rank = priority_ranks(prio, ntasks)
-    (
-        nnodes, cores_per_node, serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-    ) = _machine_params(machine, b)
-    site_of = np.asarray(site, dtype=np.int32)
-    acc_dur = None
-    if accelerators > 0:
-        acc_dur = np.ascontiguousarray(
-            np.asarray(acc_seconds, dtype=np.float64)[cg.kind]
-        )
-
+    rec = _obs_active()
     lib = None
     if not record_trace and fault is None:
         lib = _pick_engine(core)
@@ -842,96 +826,86 @@ def run_core(
             # loop instead (one note per demoted graph, in every path)
             rec.note("engine_fallback", reason="task-level recording", frm="c")
             lib = None
-    if lib is not None:
-        out = _c_cluster(
-            lib, ntasks, nnodes, cores_per_node, dur, cg.node, waiting,
-            cg.succ_ptr, cg.succ_idx, cg.edge_slot, cg.nslots,
-            rank, task_of_rank, serialized, hierarchical,
-            lat_intra, bwt_intra, lat_inter, bwt_inter, site_of, data_reuse,
-            accelerators, acc_dur,
-        )
-        if out is not None:
-            makespan, busy, messages = out
-            if rec is not None:
-                rec.run(
-                    engine="c",
-                    loop="cluster",
-                    wall_s=time.perf_counter() - wall0,
-                    makespan=makespan,
-                    busy_seconds=busy,
-                    messages=messages,
-                    ntasks=ntasks,
-                )
-            if hook is not None:
-                hook(
-                    "simulate", span0, time.monotonic(),
-                    {"engine": "c", "ntasks": ntasks},
-                )
-            return CoreOutcome(
-                result=SimulationResult(
-                    makespan=makespan,
-                    flops=qr_flops(M, N),
-                    messages=messages,
-                    bytes_sent=messages * tile_bytes,
-                    busy_seconds=busy,
-                    cores=machine.cores,
-                    trace=None,
-                ),
-                engine="c",
+    engine = engine_label or "python"
+    with span(
+        "simulate", engine="c" if lib is not None else engine, ntasks=ntasks
+    ) as sp:
+        tile_bytes = machine.tile_bytes(b)
+        dur = np.ascontiguousarray(cg.dur_table[cg.kind])
+        waiting = np.ascontiguousarray(cg.pred_counts)
+        rank, task_of_rank = priority_ranks(prio, ntasks)
+        (
+            nnodes, cores_per_node, serialized, hierarchical,
+            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+        ) = _machine_params(machine, b)
+        site_of = np.asarray(site, dtype=np.int32)
+        acc_dur = None
+        if accelerators > 0:
+            acc_dur = np.ascontiguousarray(
+                np.asarray(acc_seconds, dtype=np.float64)[cg.kind]
             )
 
-    kw = {}
-    if fault is not None:
-        kw = dict(
-            fault=fault,
-            pred_ptr=cg.pred_ptr.tolist(),
-            pred_idx=cg.pred_idx.tolist(),
+        if lib is not None:
+            out = _c_cluster(
+                lib, ntasks, nnodes, cores_per_node, dur, cg.node, waiting,
+                cg.succ_ptr, cg.succ_idx, cg.edge_slot, cg.nslots,
+                rank, task_of_rank, serialized, hierarchical,
+                lat_intra, bwt_intra, lat_inter, bwt_inter, site_of,
+                data_reuse, accelerators, acc_dur,
+            )
+            if out is not None:
+                makespan, busy, messages = out
+                return CoreOutcome(
+                    result=SimulationResult(
+                        makespan=makespan,
+                        flops=qr_flops(M, N),
+                        messages=messages,
+                        bytes_sent=messages * tile_bytes,
+                        busy_seconds=busy,
+                        cores=machine.cores,
+                        trace=None,
+                    ),
+                    engine="c",
+                )
+            if sp is not None:
+                sp.attrs["engine"] = engine  # allocation failure: Python runs
+
+        kw = {}
+        if fault is not None:
+            kw = dict(
+                fault=fault,
+                pred_ptr=cg.pred_ptr.tolist(),
+                pred_idx=cg.pred_idx.tolist(),
+            )
+        makespan, busy, messages, trace, comm, fault_out = _py_loop(
+            ntasks, nnodes, cores_per_node,
+            dur.tolist(), cg.node.tolist(), waiting.tolist(),
+            cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
+            cg.edge_slot.tolist() if fault is None else None,
+            cg.nslots if fault is None else 0,
+            rank.tolist(), task_of_rank.tolist(),
+            serialized, hierarchical,
+            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+            data_reuse,
+            accs=accelerators,
+            acc_dur=None if acc_dur is None else acc_dur.tolist(),
+            rec=rec, nbytes=tile_bytes, record_trace=record_trace,
+            **kw,
         )
-    makespan, busy, messages, trace, comm, fault_out = _py_loop(
-        ntasks, nnodes, cores_per_node,
-        dur.tolist(), cg.node.tolist(), waiting.tolist(),
-        cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-        cg.edge_slot.tolist() if fault is None else None,
-        cg.nslots if fault is None else 0,
-        rank.tolist(), task_of_rank.tolist(),
-        serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-        data_reuse,
-        accs=accelerators,
-        acc_dur=None if acc_dur is None else acc_dur.tolist(),
-        rec=rec, nbytes=tile_bytes, record_trace=record_trace,
-        **kw,
-    )
-    engine = engine_label or "python"
-    if fault is None and rec is not None:
-        rec.run(
-            engine=engine,
-            loop="cluster",
-            wall_s=time.perf_counter() - wall0,
-            makespan=makespan,
-            busy_seconds=busy,
-            messages=messages,
-            ntasks=ntasks,
+        return CoreOutcome(
+            result=SimulationResult(
+                makespan=makespan,
+                flops=qr_flops(M, N),
+                messages=messages,
+                bytes_sent=messages * tile_bytes,
+                busy_seconds=busy,
+                cores=machine.cores,
+                trace=trace,
+                comm_trace=comm,
+            ),
+            fault=fault_out,
+            engine="python",
         )
-    if hook is not None:
-        hook(
-            "simulate", span0, time.monotonic(),
-            {"engine": engine, "ntasks": ntasks},
-        )
-    return CoreOutcome(
-        result=SimulationResult(
-            makespan=makespan,
-            flops=qr_flops(M, N),
-            messages=messages,
-            bytes_sent=messages * tile_bytes,
-            busy_seconds=busy,
-            cores=machine.cores,
-            trace=trace,
-            comm_trace=comm,
-        ),
-        fault=fault_out,
-        engine="python",
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -968,9 +942,6 @@ def run_core_batch(
             f"prios has {len(prios)} entries for {npoints} graphs"
         )
     rec = _obs_active()
-    wall0 = time.perf_counter() if rec is not None else 0.0
-    hook = _span_hook()
-    span0 = time.monotonic() if hook is not None else 0.0
     tile_bytes = machine.tile_bytes(b)
 
     lib = _pick_engine(core)
@@ -989,50 +960,32 @@ def run_core_batch(
                 0.0, 0.0, 0, 0, 0.0, machine.cores, None
             )
 
-    batch = None
+    out = None
     if lib is not None and live:
-        with stage("dispatch_pack"):
-            batch = _pack_batch(graphs, prios, live)
-    if batch is not None:
-        with stage("dispatch_compute"):
-            out = _c_cluster_batch(lib, batch, machine, b, data_reuse)
-        if out is None:
-            batch = None  # allocation failure: retry per point in Python
-        else:
-            makespans, busys, msgs = out
-            for j, i in enumerate(live):
-                cg = graphs[i]
-                results[i] = SimulationResult(
-                    makespan=float(makespans[j]),
-                    flops=qr_flops(cg.m * b, cg.n * b),
-                    messages=int(msgs[j]),
-                    bytes_sent=int(msgs[j]) * tile_bytes,
-                    busy_seconds=float(busys[j]),
-                    cores=machine.cores,
-                    trace=None,
-                )
-            if rec is not None:
-                rec.run(
-                    engine="c-batch",
-                    loop="cluster",
-                    wall_s=time.perf_counter() - wall0,
-                    points=len(live),
-                    ntasks=int(batch["task_off"][-1]),
-                    threads=sim_threads(),
-                    openmp=_ccore.openmp_available(),
-                )
-            if hook is not None:
-                # one span for the whole fused dispatch; the per-point
-                # fallback below goes through run_core, which emits its
-                # own per-graph spans
-                hook(
-                    "simulate", span0, time.monotonic(),
-                    {"engine": "c-batch", "points": len(live)},
-                )
-    if batch is None and live:
+        # one span for the whole fused dispatch; the per-point fallback
+        # below goes through run_core, which times each graph itself
+        with span("simulate", engine="c-batch", points=len(live)):
+            with span("dispatch_pack"):
+                batch = _pack_batch(graphs, prios, live)
+            with span("dispatch_compute"):
+                out = _c_cluster_batch(lib, batch, machine, b, data_reuse)
+            if out is not None:
+                makespans, busys, msgs = out
+                for j, i in enumerate(live):
+                    cg = graphs[i]
+                    results[i] = SimulationResult(
+                        makespan=float(makespans[j]),
+                        flops=qr_flops(cg.m * b, cg.n * b),
+                        messages=int(msgs[j]),
+                        bytes_sent=int(msgs[j]) * tile_bytes,
+                        busy_seconds=float(busys[j]),
+                        cores=machine.cores,
+                        trace=None,
+                    )
+    if out is None and live:
         # bit-identical fallback: the scalar path per point (pure-Python
-        # core, or C per point when only the batch packing failed)
-        with stage("dispatch_compute"):
+        # core, or C per point when the batch allocation failed)
+        with span("dispatch_compute"):
             for i in live:
                 results[i] = run_core(
                     graphs[i], machine, b,

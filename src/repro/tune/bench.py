@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.bench.runner import BenchSetup, bench_scale, run_config_sweep
 from repro.hqr.config import HQRConfig
-from repro.obs.profile import stage
+from repro.obs.tracing import span
 from repro.tune.energy import EnergyEvaluator, initial_case
 from repro.tune.sampler import Annealer, CoolingSchedule
 
@@ -101,7 +101,7 @@ def tune_bench(
     space_size = len(SUBSPACE_A_VALUES) * 4 * 4 * 2
     max_evals = space_size // 10 - batch_size + 1
 
-    with stage("tune"):
+    with span("tune"):
         t0 = time.perf_counter()
         annealer = Annealer(
             evaluator, start, out_dir,
@@ -114,7 +114,7 @@ def tune_bench(
         tune_wall = time.perf_counter() - t0
 
     configs = enumerate_subspace(setup)
-    with stage("exhaustive"):
+    with span("exhaustive"):
         t0 = time.perf_counter()
         sweep = run_config_sweep(
             [(m, n, cfg) for cfg in configs], setup, workers=workers

@@ -96,11 +96,14 @@ def test_slow_point_flagged(caplog):
 
 
 def test_point_timings_feed_self_profile():
-    from repro.obs.profile import profiling
+    """Each in-process point is one ``sweep_point`` span."""
+    from repro.obs.events import recording
 
-    with profiling() as sp:
+    with recording("summary") as rec:
         parallel_map(_square, [1, 2, 3], workers=1)
-    assert sp.stages["sweep_point"][1] == 3
+    points = [sp for sp in rec.spans if sp.name == "sweep_point"]
+    assert [sp.attrs["point"] for sp in points] == [0, 1, 2]
+    assert rec.totals()["sweep_point"]["calls"] == 3
 
 
 def test_default_workers_env(monkeypatch):
@@ -197,7 +200,8 @@ def test_sweep_under_recorder_keeps_events(core, fresh_cache, monkeypatch):
         fresh_cache.clear_memory()
         with recording("tasks") as rec:
             results = run_config_sweep(points, setup, workers=workers)
-        seen[workers] = (len(rec.tasks), len(rec.runs), results)
+        runs = [sp for sp in rec.spans if sp.name == "simulate"]
+        seen[workers] = (len(rec.tasks), len(runs), results)
     assert seen[1][0] > 0
     assert seen[1][1] == len(points)
     assert seen[2] == seen[1]

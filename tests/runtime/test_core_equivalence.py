@@ -19,6 +19,7 @@ from repro.dag.compiled import compile_graph
 from repro.obs.events import recording, uninstall
 from repro.runtime.core import (
     FaultHooks,
+    _pick_engine,
     run_core,
     run_core_batch,
 )
@@ -177,68 +178,101 @@ def test_obs_recording_is_bitwise_neutral(name, level):
     _assert_scalar(res, FIXTURE["scalar"][name])
 
 
+def _simulate_spans(spans):
+    """Every ``simulate`` span in a list of span trees."""
+    out, stack = [], list(spans)
+    while stack:
+        sp = stack.pop()
+        if sp.name == "simulate":
+            out.append(sp)
+        stack.extend(sp.children)
+    return out
+
+
 @pytest.mark.parametrize("name", ["flat-serialized", "hierarchical-reuse"])
 def test_tracing_span_hook_is_bitwise_neutral(name):
-    """The request-tracing core hook must not move a single bit.
+    """The core's ``simulate`` span must not move a single bit.
 
-    Hook installed AND a trace attached — the maximally instrumented
-    configuration — still reproduces the golden fixtures, and the hook
-    emits exactly one "simulate" span per run."""
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        mint_trace_id,
-        uninstall_core_hook,
-    )
+    Both span sinks listening — a trace attached and a summary recorder
+    installed, the maximally instrumented configuration that keeps the C
+    core — still reproduces the golden fixtures, and the run emits
+    exactly one "simulate" span into each sink."""
+    from repro.obs.events import recording
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
 
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
     trace = RequestTrace(mint_trace_id(), "test", 0.0)
-    install_core_hook()
-    try:
-        with attach(trace):
-            res = run_core(
-                cg, case.machine, case.b,
-                prio=prio, data_reuse=case.data_reuse,
-            ).result
-    finally:
-        uninstall_core_hook()
+    with recording("summary") as rec, attach(trace):
+        res = run_core(
+            cg, case.machine, case.b,
+            prio=prio, data_reuse=case.data_reuse,
+        ).result
     _assert_scalar(res, FIXTURE["scalar"][name])
     spans = [s for s in trace.root.children if s.name == "simulate"]
     assert len(spans) == 1
     assert spans[0].attrs["ntasks"] == cg.ntasks
+    assert _simulate_spans(rec.spans) == spans
 
 
 def test_tracing_span_hook_is_bitwise_neutral_batched():
     """Same neutrality through the batched dispatch path."""
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        mint_trace_id,
-        uninstall_core_hook,
-    )
+    from repro.obs.events import recording
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
 
     names = ["flat-serialized", "flat-critical-path"]
     cases = [CASES[n] for n in names]
     compiled = [_compiled(c) for c in cases]
     trace = RequestTrace(mint_trace_id(), "test", 0.0)
-    install_core_hook()
-    try:
-        with attach(trace):
-            results = run_core_batch(
-                [cg for _, _, cg, _ in compiled],
-                cases[0].machine,
-                cases[0].b,
-                prios=[prio for _, _, _, prio in compiled],
-                data_reuse=cases[0].data_reuse,
-            )
-    finally:
-        uninstall_core_hook()
+    with recording("summary") as rec, attach(trace):
+        results = run_core_batch(
+            [cg for _, _, cg, _ in compiled],
+            cases[0].machine,
+            cases[0].b,
+            prios=[prio for _, _, _, prio in compiled],
+            data_reuse=cases[0].data_reuse,
+        )
     for name, res in zip(names, results):
         _assert_scalar(res, FIXTURE["scalar"][name])
-    assert any(s.name == "simulate" for s in trace.root.children)
+    # one span per fused C batch, one per graph on the per-point path
+    fused = _pick_engine(None) is not None
+    expected = 1 if fused else len(names)
+    assert len(_simulate_spans(trace.root.children)) == expected
+    assert len([s for s in rec.spans if s.name == "simulate"]) == expected
+
+
+def test_task_recording_batch_emits_one_span_per_graph():
+    """A task-level recorder demotes the batch to per-graph runs: each
+    of 3 graphs is one ``simulate`` span in the trace and in the
+    recorder, and the results match the unrecorded runs bit for bit."""
+    from repro.dag.compiled import compiled_from_eliminations
+    from repro.hqr.hierarchy import hqr_elimination_list
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
+
+    case = CASES["flat-serialized"]
+    layout = case.layout()
+    graphs = [
+        compiled_from_eliminations(
+            hqr_elimination_list(m, case.n, case.config), m, case.n,
+            layout, case.machine, case.b,
+        )
+        for m in (8, 12, 16)
+    ]
+    bare = [run_core(cg, case.machine, case.b).result for cg in graphs]
+    trace = RequestTrace(mint_trace_id(), "test", 0.0)
+    with recording("tasks") as rec, attach(trace):
+        results = run_core_batch(graphs, case.machine, case.b)
+    for res, want in zip(results, bare):
+        assert (res.makespan, res.busy_seconds, res.messages) == (
+            want.makespan, want.busy_seconds, want.messages
+        )
+    traced = _simulate_spans(trace.root.children)
+    recorded = [s for s in rec.spans if s.name == "simulate"]
+    assert len(traced) == len(recorded) == 3
+    assert sorted(map(id, traced)) == sorted(map(id, recorded))
+    assert [s.attrs["ntasks"] for s in recorded] == [
+        cg.ntasks for cg in graphs
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE["faulty"]))

@@ -92,6 +92,16 @@ class TestTraceEndpoint:
         assert "cache" in kids
         assert "simulate" in kids
 
+    def test_one_simulate_span_per_request(self, client):
+        for _ in range(2):
+            resp = client.plan("gold", TINY_REQUEST)
+            stack, names = [client.trace(resp.job_id)["root"]], []
+            while stack:
+                sp = stack.pop()
+                names.append(sp["name"])
+                stack.extend(sp.get("children", ()))
+            assert names.count("simulate") == 1
+
     def test_unknown_job_404(self, client):
         status, _, _ = client._request("GET", "/trace/999999")
         assert status == 404
@@ -179,22 +189,3 @@ class TestMetricsAndStats:
         stats = client.stats()
         assert stats["tracing"]["stored_traces"] >= 1
         assert stats["tracing"]["flight_ring"] >= 1
-
-
-class TestHookLifecycle:
-    def test_core_hook_uninstalled_after_shutdown(self, daemon, client):
-        from repro.obs.tracing import active_core_hook
-
-        assert active_core_hook() is not None
-        daemon.shutdown()
-        assert active_core_hook() is None
-
-    def test_shutdown_without_start_leaves_other_daemons_hook(self, daemon):
-        other = PlanningDaemon(
-            PlannerService(tiny_setup()), TENANTS, port=0, workers=1
-        )
-        # never started: its shutdown must not decrement the refcount
-        other.shutdown()
-        from repro.obs.tracing import active_core_hook
-
-        assert active_core_hook() is not None
