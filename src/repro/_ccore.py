@@ -170,6 +170,11 @@ static int32_t ih_pop(iheap *h) {
     return top;
 }
 
+/* Schedule record entries (mirrored by repro.runtime.core's dtypes). */
+typedef struct { int32_t task, node; double start, end; } task_rec;
+typedef struct { int32_t producer, src, dst; double depart, arrival; } msg_rec;
+typedef struct { double time; int32_t node, depth; } queue_rec;
+
 /* ------------------------------------------------------------------ *
  * DAG builder: expand an elimination list into kernel tasks + CSR
  * predecessor arrays.  Mirrors TaskGraph.from_eliminations exactly
@@ -316,7 +321,12 @@ int64_t hqr_build_dag(
  * takes a CPU-only task first and then steals an offloadable one, and a
  * freed accelerator takes only offloadable tasks.  With no pool acc_dur
  * may be NULL and every pool branch is skipped by one invariant test.
- * Returns 0 (ok), 1 (stalled), -1 (alloc fail).
+ * The schedule record — task intervals in launch order, messages in send
+ * order, ready-queue depth changes: exactly the entries the Python loop
+ * appends to its lists — goes to rec_task, rec_msg and rec_queue when
+ * rec_len is not NULL.  rec_len[0..2] are their capacities, and
+ * rec_len[3..5] receive the entries written.
+ * Returns 0 (ok), 1 (stalled), 2 (record full), -1 (alloc fail).
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
@@ -328,11 +338,14 @@ int32_t hqr_simulate_cluster(
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
     const int32_t *site_of, int32_t data_reuse,
     int32_t accs_per_node, const double *acc_dur,
+    task_rec *rec_task, msg_rec *rec_msg, queue_rec *rec_queue,
+    int64_t *rec_len,
     double *out_makespan, double *out_busy, int64_t *out_messages)
 {
     int32_t rc = -1;
     const int pooled = accs_per_node > 0;
     int32_t *waiting = NULL, *free_cores = NULL, *free_accs = NULL;
+    int32_t *queued = NULL; /* ready-queue depth per node (record only) */
     double *data_ready = NULL, *chan_free = NULL, *slot_arrival = NULL;
     uint8_t *state = NULL;
     iheap *ready = NULL, *accq = NULL;
@@ -341,14 +354,15 @@ int32_t hqr_simulate_cluster(
     waiting = (int32_t *)malloc((size_t)ntasks * sizeof(int32_t));
     data_ready = (double *)calloc((size_t)ntasks, sizeof(double));
     free_cores = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
+    queued = (int32_t *)calloc((size_t)nnodes, sizeof(int32_t));
     chan_free = (double *)calloc((size_t)nnodes, sizeof(double));
     slot_arrival = (double *)malloc((size_t)(nslots > 0 ? nslots : 1) * sizeof(double));
     state = (uint8_t *)calloc((size_t)ntasks, 1);
     ready = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
     ev.t = (double *)malloc((size_t)(2 * ntasks + 4) * sizeof(double));
     ev.c = (int64_t *)malloc((size_t)(2 * ntasks + 4) * sizeof(int64_t));
-    if (!waiting || !data_ready || !free_cores || !chan_free || !slot_arrival ||
-        !state || !ready || !ev.t || !ev.c)
+    if (!waiting || !data_ready || !free_cores || !queued || !chan_free ||
+        !slot_arrival || !state || !ready || !ev.t || !ev.c)
         goto done;
     if (pooled) {
         free_accs = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
@@ -369,6 +383,15 @@ int32_t hqr_simulate_cluster(
     int64_t messages = 0;
 
 #define OFFLOADABLE(T) (pooled && acc_dur[T] >= 0.0)
+/* append ENTRY to record family F; a full family ends the run (rc 2) */
+#define RECORD(F, ARR, ENTRY)                                                 \
+    do {                                                                      \
+        if (rec_len[3 + (F)] >= rec_len[F]) {                                 \
+            rc = 2;                                                           \
+            goto done;                                                        \
+        }                                                                     \
+        (ARR)[rec_len[3 + (F)]++] = ENTRY;                                    \
+    } while (0)
 
 /* D is the duration, BASE the event-code offset (0 core, ntasks device) */
 #define LAUNCH(T, START, D, BASE)                                             \
@@ -379,6 +402,18 @@ int32_t hqr_simulate_cluster(
         if (end_ > finish_time)                                               \
             finish_time = end_;                                               \
         ev_push(&ev, end_, (BASE) + (int64_t)(T));                            \
+        if (rec_len)                                                          \
+            RECORD(0, rec_task,                                               \
+                   ((task_rec){(int32_t)(T), node_of[T], (START), end_}));    \
+    } while (0)
+
+/* a queued task left or joined NODE's ready queues at NOW */
+#define QUEUE_DEPTH(NOW, NODE, DELTA)                                         \
+    do {                                                                      \
+        if (rec_len) {                                                        \
+            queued[NODE] += (DELTA);                                          \
+            RECORD(2, rec_queue, ((queue_rec){(NOW), (NODE), queued[NODE]})); \
+        }                                                                     \
     } while (0)
 
 #define TRY_START(T, NOW)                                                     \
@@ -396,6 +431,7 @@ int32_t hqr_simulate_cluster(
             state[T] = 1;                                                     \
             if (ih_push(off_ ? &accq[node_] : &ready[node_], rank[T]) < 0)    \
                 goto done;                                                    \
+            QUEUE_DEPTH((NOW), node_, 1);                                     \
         }                                                                     \
     } while (0)
 
@@ -431,9 +467,10 @@ int32_t hqr_simulate_cluster(
             t = code - ntasks;
             node = node_of[t];
             POP_READY(&accq[node], nxt);
-            if (nxt >= 0)
+            if (nxt >= 0) {
+                QUEUE_DEPTH(now, node, -1);
                 LAUNCH(nxt, now, acc_dur[nxt], ntasks);
-            else
+            } else
                 free_accs[node]++;
         } else {
             /* core freed: start the next ready task */
@@ -455,6 +492,7 @@ int32_t hqr_simulate_cluster(
             if (nxt < 0 && pooled)
                 POP_READY(&accq[node], nxt); /* steal an offloadable task */
             if (nxt >= 0) {
+                QUEUE_DEPTH(now, node, -1);
                 double st = data_ready[nxt] > now ? data_ready[nxt] : now;
                 LAUNCH(nxt, st, dur[nxt], 0);
             } else
@@ -479,8 +517,8 @@ int32_t hqr_simulate_cluster(
                         lat = lat_intra;
                         bwt = bwt_intra;
                     }
+                    double depart = now;
                     if (serialized) {
-                        double depart = now;
                         if (chan_free[node] > depart)
                             depart = chan_free[node];
                         if (chan_free[dest] > depart)
@@ -492,6 +530,9 @@ int32_t hqr_simulate_cluster(
                         arrival = now + lat + bwt;
                     slot_arrival[slot] = arrival;
                     messages++;
+                    if (rec_len)
+                        RECORD(1, rec_msg, ((msg_rec){(int32_t)t, node, dest,
+                                                      depart, arrival}));
                 }
             }
             if (arrival > data_ready[s])
@@ -508,7 +549,9 @@ int32_t hqr_simulate_cluster(
 
 #undef POP_READY
 #undef TRY_START
+#undef QUEUE_DEPTH
 #undef LAUNCH
+#undef RECORD
 #undef OFFLOADABLE
 
     rc = 0;
@@ -534,6 +577,7 @@ done:
     free(data_ready);
     free(free_cores);
     free(free_accs);
+    free(queued);
     free(chan_free);
     free(slot_arrival);
     free(state);
@@ -599,7 +643,7 @@ int32_t hqr_simulate_cluster_batch(
             rank + t0, task_of_rank + t0,
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
-            site_of, data_reuse, 0, NULL,
+            site_of, data_reuse, 0, NULL, NULL, NULL, NULL, NULL,
             out_makespan + p, out_busy + p, out_messages + p);
         free(dur);
     }
@@ -679,6 +723,7 @@ def _build() -> ctypes.CDLL | None:
     i32p = ctypes.POINTER(ctypes.c_int32)
     i64p = ctypes.POINTER(ctypes.c_int64)
     f64p = ctypes.POINTER(ctypes.c_double)
+    vp = ctypes.c_void_p
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 
     lib.hqr_build_dag.restype = i64
@@ -690,7 +735,7 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_simulate_cluster.argtypes = [
         i64, i32, i32, f64p, i32p, i32p, i64p, i32p, i32p, i64,
         i32p, i32p, i32, i32, f64, f64, f64, f64, i32p, i32,
-        i32, f64p, f64p, f64p, i64p,
+        i32, f64p, vp, vp, vp, i64p, f64p, f64p, i64p,
     ]
     lib.hqr_openmp.restype = i32
     lib.hqr_openmp.argtypes = []

@@ -59,56 +59,6 @@ def log_transport(transport: str, *, workers: int, points: int) -> None:
     )
 
 
-def recycle_tasks() -> int:
-    """Worker recycling period: ``REPRO_BENCH_RECYCLE`` tasks per child.
-
-    0 (the default) disables recycling and keeps the platform-default
-    start method; a positive value bounds each worker to that many
-    points before it is replaced, capping allocator growth on very long
-    sweeps.
-    """
-    env = os.environ.get("REPRO_BENCH_RECYCLE")
-    if not env:
-        return 0
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BENCH_RECYCLE must be an integer, got {env!r}"
-        ) from None
-
-
-def _make_pool(workers: int):
-    """Sized process pool, with worker recycling when requested.
-
-    ``max_tasks_per_child`` needs a spawn/forkserver start method and a
-    new-enough Python — both guarded: anything unsupported degrades to
-    the plain pool, loudly.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = recycle_tasks()
-    if tasks > 0:
-        try:
-            import multiprocessing as mp
-
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp.get_context("forkserver"),
-                max_tasks_per_child=tasks,
-            )
-        except (TypeError, ValueError) as exc:
-            # TypeError: Python without max_tasks_per_child;
-            # ValueError: platform without the forkserver start method
-            jsonlog(
-                "recycle_unavailable", level="warning", logger=log,
-                msg=f"worker recycling unavailable "
-                    f"({type(exc).__name__}: {exc}); using plain pool",
-                error=type(exc).__name__,
-            )
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def default_workers() -> int:
     """Worker count: ``REPRO_BENCH_WORKERS`` or the CPU count."""
     env = os.environ.get("REPRO_BENCH_WORKERS")
@@ -205,14 +155,14 @@ def parallel_map(
         results, seconds = _serial_map(fn, seq)
         _report_timings(seconds)
         return results
-    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     try:
         if transport != "":
             log_transport(
                 transport or "pickle", workers=workers, points=len(seq)
             )
-        with _make_pool(workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_timed_call, [(fn, item) for item in seq]))
     except (OSError, ImportError, BrokenExecutor) as exc:
         # pool cannot start (no /dev/shm etc.) or a worker died mid-map

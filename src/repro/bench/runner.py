@@ -191,15 +191,15 @@ def run_config_sweep(
     Two paths, bit-identical in results; the sweep picks one from what it
     can observe, never from a user switch:
 
-    * **C path** — the native core is usable and no task-level recorder
-      is active.  Every graph is built once (cold points fan the *build*
-      out over the pool, then load back through the memory-mapped
-      cache) and all points are simulated by one :func:`~repro.runtime.
-      core.run_core_batch` call.
-    * **per-point path** — otherwise (pure-Python core, task-level
-      recording).  :func:`run_config` builds and
-      simulates each point, fanned out by :func:`~repro.bench.parallel.
-      parallel_map`.
+    * **C path** — the native core is usable.  Every graph is built
+      once (cold points fan the *build* out over the pool, then load
+      back through the memory-mapped cache) and all points are
+      simulated by one :func:`~repro.runtime.core.run_core_batch` call
+      (point by point in C under a task-level recorder, which ingests
+      each graph's schedule record).
+    * **per-point path** — otherwise (pure-Python core).
+      :func:`run_config` builds and simulates each point, fanned out by
+      :func:`~repro.bench.parallel.parallel_map`.
 
     Under an active :mod:`repro.obs` recorder every point runs
     in-process: a pool worker would record into its own copy of the
@@ -210,11 +210,9 @@ def run_config_sweep(
 
     setup = setup or BenchSetup()
     points = list(points)
-    rec = _obs_active()
-    if rec is not None:
+    if _obs_active() is not None:
         workers = 1
-    want_tasks = rec is not None and rec.want_tasks
-    if not want_tasks and _pick_engine(None) is not None:
+    if _pick_engine(None) is not None:
         return _sweep_c(points, setup, workers)
     items = [(m, n, cfg, setup) for m, n, cfg in points]
     return parallel_map(_run_point, items, workers=workers)

@@ -204,17 +204,7 @@ def cmd_gantt(args) -> int:
     graph = TaskGraph.from_eliminations(
         hqr_elimination_list(args.m, args.n, cfg), args.m, args.n
     )
-    sim = setup.simulator(record_trace=True)
-    if args.trace_out:
-        # a recorder captures the message flow and busy-core counters so
-        # the exported timeline gets network and counter tracks
-        from repro.obs.events import recording
-        from repro.obs.metrics import utilization_timeline
-
-        with recording() as rec:
-            res = sim.run(graph)
-    else:
-        res = sim.run(graph)
+    res = setup.simulator(record_trace=True).run(graph)
     print(f"{args.m} x {args.n} tiles, {cfg}: {res.gflops:.1f} GFlop/s")
     print(ascii_gantt(res.trace, graph, width=args.width, max_nodes=args.nodes))
     s = summarize(res.trace, graph)
@@ -223,12 +213,17 @@ def cmd_gantt(args) -> int:
     print(f"mean per-core utilization: {mean_util:.2%}")
     print(f"imbalance (max/mean node busy): {s.imbalance():.3f}")
     if args.trace_out:
+        # the comm trace and busy-core counters give the exported
+        # timeline its network and counter tracks
+        from repro.obs.metrics import utilization_timeline
+
+        nbytes = setup.machine.tile_bytes(setup.b)
         with open(args.trace_out, "w") as fh:
             fh.write(
                 trace_events_json(
                     res.trace,
                     graph,
-                    comm_events=rec.comms,
+                    comm_events=[(*c, nbytes) for c in res.comm_trace],
                     counters={
                         "busy_cores": utilization_timeline(res.trace)
                     },

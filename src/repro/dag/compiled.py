@@ -252,17 +252,38 @@ def count_tasks(elims: Sequence[Elimination], m: int, n: int) -> int:
     return ntasks
 
 
-def _build_arrays_native(
-    elims: Sequence[Elimination], m: int, n: int
-) -> tuple | None:
-    lib = _ccore.get_lib()
-    if lib is None:
-        return None
+def _elim_columns(elims: Sequence[Elimination], m: int, n: int) -> tuple:
+    """The elimination table as int32/uint8 columns; both builders index
+    ``row * n + col`` tables unchecked, so an entry off the ``m x n``
+    tile grid raises ``ValueError`` here."""
     nelims = len(elims)
     e_panel = np.fromiter((e.panel for e in elims), np.int32, nelims)
     e_victim = np.fromiter((e.victim for e in elims), np.int32, nelims)
     e_killer = np.fromiter((e.killer for e in elims), np.int32, nelims)
     e_ts = np.fromiter((e.ts for e in elims), np.uint8, nelims)
+    ok = (
+        (e_panel >= 0) & (e_panel < n)
+        & (e_victim > e_panel) & (e_victim < m)
+        & (e_killer >= e_panel) & (e_killer < m)
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"elimination {i} ({elims[i]!r}) lies outside the {m} x {n} "
+            f"tile grid: need 0 <= panel < n, panel < victim < m and "
+            f"panel <= killer < m"
+        )
+    return e_panel, e_victim, e_killer, e_ts
+
+
+def _build_arrays_native(
+    elims: Sequence[Elimination], columns: tuple, m: int, n: int
+) -> tuple | None:
+    lib = _ccore.get_lib()
+    if lib is None:
+        return None
+    e_panel, e_victim, e_killer, e_ts = columns
+    nelims = len(elims)
     ntasks = count_tasks(elims, m, n)
     kind = np.empty(ntasks, np.int8)
     row = np.empty(ntasks, np.int32)
@@ -412,9 +433,11 @@ def compiled_from_eliminations(
 
     Identical task/dependency order to ``TaskGraph.from_eliminations``,
     without materializing Task objects.  Uses the native builder when
-    available.
+    available.  An elimination outside the ``m x n`` tile grid raises
+    ``ValueError`` before either builder runs.
     """
-    arrays = _build_arrays_native(elims, m, n)
+    columns = _elim_columns(elims, m, n)
+    arrays = _build_arrays_native(elims, columns, m, n)
     if arrays is None:
         arrays = _build_arrays_py(elims, m, n)
     kind, row, panel, col, killer, pred_ptr, pred_idx = arrays

@@ -2,10 +2,10 @@
 
 One process-wide :class:`Recorder` slot; engines fetch it once per run
 (:func:`active`) and emit events only when it is non-``None``.  The
-disabled path is a single local-variable ``None`` check per event site,
-so instrumentation is bitwise-neutral — no arithmetic, scheduling
-decision, or allocation differs — and costs well under 5% of engine
-wall time (asserted by ``tests/obs/test_events.py``).
+disabled path is a single ``None`` check per run, so instrumentation is
+bitwise-neutral — no arithmetic or scheduling decision differs — and
+costs well under 5% of engine wall time (asserted by
+``tests/obs/test_events.py``).
 
 Event families (each a bounded in-memory buffer on the recorder):
 
@@ -17,13 +17,15 @@ Event families (each a bounded in-memory buffer on the recorder):
 ``spans``   closed :func:`repro.obs.tracing.span` blocks (``simulate``
             per engine dispatch, ``graph``/``hqr.compose``/``dag.build``
             per graph, …); :meth:`Recorder.totals` sums them per name
-``notes``   free-form dicts (native-core builds, engine fallbacks, …)
+``notes``   free-form dicts (native-core builds, …)
 
-Recording *levels*: ``"tasks"`` (default) captures everything, which
-forces the compiled simulators onto their pure-Python array loop (the C
-core cannot call back into Python); ``"summary"`` keeps the C core and
-skips the per-task/per-message families.  Both engine choices are
-bit-identical, so the recorded results never depend on the level.
+The first three families are the event loop's *schedule record*, which
+the C and the Python loop write alike; :meth:`Recorder.ingest` takes one
+run's record into the bounded buffers.  Recording *levels*: ``"tasks"``
+(default) captures everything — the core writes the schedule record for
+the recorder; ``"summary"`` skips the tasks/comms/queue families.
+Neither level changes which inner loop runs, and the recorded results
+never depend on the level.
 
 Usage::
 
@@ -91,51 +93,36 @@ class Recorder:
         }
 
     # -- emission (engines call these behind a ``rec is not None`` guard) --
-    def task(self, task_id: int, node: int, start: float, end: float) -> None:
-        if len(self.tasks) < self.max_events:
-            self.tasks.append((task_id, node, start, end))
-        else:
-            self.dropped_events["tasks"] += 1
-
-    def comm(
-        self,
-        producer: int,
-        src: int,
-        dst: int,
-        depart: float,
-        arrival: float,
-        nbytes: int,
+    def ingest(
+        self, tasks: list, messages: list, queue: list, nbytes: int
     ) -> None:
-        if len(self.comms) < self.max_events:
-            self.comms.append((producer, src, dst, depart, arrival, nbytes))
-        else:
-            self.dropped_events["comms"] += 1
-
-    def queue_depth(self, time: float, node: int, depth: int) -> None:
-        if len(self.queue) < self.max_events:
-            self.queue.append((time, node, depth))
-        else:
-            self.dropped_events["queue"] += 1
+        """Take one run's schedule record: ``(task, node, start, end)``
+        intervals, ``(producer, src, dst, depart, arrival)`` messages of
+        ``nbytes`` each, and ``(time, node, depth)`` queue changes."""
+        self._admit("tasks", tasks)
+        self._admit("comms", [(*msg, nbytes) for msg in messages])
+        self._admit("queue", queue)
 
     def fault(self, event: dict) -> None:
-        if len(self.faults) < self.max_events:
-            self.faults.append(event)
-        else:
-            self.dropped_events["faults"] += 1
+        self._admit("faults", [event])
 
     def cache_event(self, event: str, key: str) -> None:
         """``event`` ∈ hit-memory / hit-disk / miss / store."""
-        if len(self.cache) < self.max_events:
-            self.cache.append((event, key))
-        else:
-            self.dropped_events["cache"] += 1
+        self._admit("cache", [(event, key)])
 
     def span(self, sp) -> None:
         """One closed :class:`~repro.obs.tracing.Span`."""
-        if len(self.spans) < self.max_events:
-            self.spans.append(sp)
-        else:
-            self.dropped_events["spans"] += 1
+        self._admit("spans", [sp])
+
+    def _admit(self, family: str, events: list) -> None:
+        """Append the head of ``events`` that fits the family's buffer
+        and count the rest as dropped."""
+        buf = getattr(self, family)
+        room = max(0, self.max_events - len(buf))
+        if len(events) > room:
+            self.dropped_events[family] += len(events) - room
+            events = events[:room]
+        buf.extend(events)
 
     def note(self, kind: str, **info) -> None:
         info["kind"] = kind
@@ -146,11 +133,6 @@ class Recorder:
     def dropped(self) -> int:
         """Total dropped events across every family."""
         return sum(self.dropped_events.values())
-
-    @property
-    def want_tasks(self) -> bool:
-        """True when per-task/per-message detail is requested."""
-        return self.level == "tasks"
 
     def cache_counts(self) -> dict[str, int]:
         """Cache event totals by kind (hit-memory/hit-disk/miss/store)."""

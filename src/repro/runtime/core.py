@@ -8,23 +8,25 @@ loop **once**, parameterized by capability flags:
 
 * **inner loop** — the native C core (:mod:`repro._ccore`) or the
   pure-Python loop below, selected by ``REPRO_SIM_CORE`` / the ``core``
-  argument; the C core is used only when no Python-visible capability
-  (tracing, fault hooks, task-level recording) is active;
+  argument and compiler availability; only fault hooks (Python
+  callbacks) need the Python loop;
 * **accelerator pool** — ``accelerators`` devices per node run the
   offloadable (update) kernels at their own per-kind rate: a second
   per-node ready heap, updates prefer an idle device, a freed core takes
   a CPU-only task first and then steals an update, a freed device takes
   only updates (the §VI future-work platform);
-* **tracing** — ``record_trace=True`` captures the task trace and (in
-  fault-free runs) the comm trace consumed by the verify oracle;
+* **schedule record** — under ``record_trace=True`` or a ``tasks``-level
+  :mod:`repro.obs` recorder, either loop writes task intervals in launch
+  order, messages in send order and ready-queue depth changes (the
+  Python loop into lists, the C loop into caller-owned arrays).  It
+  becomes the task / comm trace read by gantt and the verify oracle,
+  and the recorder ingests it;
 * **observability** — each non-empty :func:`run_core` and each fused C
   batch is one ``simulate`` span (:func:`repro.obs.tracing.span`, with
   an ``engine`` attribute), which reaches the attached request trace
-  and the installed recorder alike; a :mod:`repro.obs` recorder at
-  ``tasks`` level also receives task intervals / messages / queue
-  depths.  All emission sites are pure appends behind ``None`` checks,
-  so the schedule and every float are identical with or without a
-  listener;
+  and the installed recorder alike.  Recording sites are pure appends
+  behind ``None`` checks, so the schedule and every float are identical
+  with or without a listener;
 * **fault hooks** — a :class:`FaultHooks` bundle (schedule + replan
   callback) turns on the failure-aware branch: per-edge satisfaction,
   generation counters, lineage-cone recovery, message drops.  With an
@@ -236,9 +238,7 @@ def _py_loop(
     *,
     accs=0,
     acc_dur=None,
-    rec=None,
-    nbytes=0,
-    record_trace=False,
+    record=False,
     fault: FaultHooks | None = None,
     pred_ptr=None,
     pred_idx=None,
@@ -249,12 +249,13 @@ def _py_loop(
     states an invariant exactly once.  All inputs are plain lists/ints so
     the hot loop never touches numpy.  ``accs > 0`` turns on the
     accelerator pool: ``acc_dur[t]`` is t's device seconds, negative for
-    a CPU-only kernel.  Returns
-    ``(finish_time, busy, messages, trace, comm, fault_out)``.
+    a CPU-only kernel.  ``record=True`` writes the schedule record: task
+    intervals, messages and (fault-free) ready-queue depth changes.
+    Returns ``(finish_time, busy, messages, record, fault_out)`` with
+    ``record = (tasks, messages, queue)`` lists, or None.
     """
     faulty = fault is not None
     pooled = accs > 0
-    observe = rec is not None and rec.want_tasks
     push, pop = heapq.heappush, heapq.heappop
 
     data_ready = [0.0] * ntasks
@@ -269,9 +270,11 @@ def _py_loop(
     finish_time = 0.0
     messages = 0
 
-    trace = [] if record_trace else None
-    comm = [] if (record_trace and not faulty) else None
-    queued = [0] * nnodes if (observe and not faulty) else None
+    trace = [] if record else None
+    comm = [] if record else None
+    queue = [] if record else None
+    # a crash rebuilds the ready queues wholesale: depth is fault-free only
+    queued = [0] * nnodes if (record and not faulty) else None
 
     if faulty:
         schedule = fault.schedule
@@ -296,6 +299,26 @@ def _py_loop(
             return lat_inter, bwt_inter
         return lat_intra, bwt_intra
 
+    def send(src: int, dst: int, now: float, producer: int) -> tuple:
+        """Ship one tile src -> dst ready at ``now``: (depart, arrival)."""
+        nonlocal messages
+        lat, bwt = link_params(src, dst)
+        depart = now
+        if serialized:
+            # the transfer holds both endpoints' single communication
+            # channel for its bandwidth term
+            if chan_free[src] > depart:
+                depart = chan_free[src]
+            if chan_free[dst] > depart:
+                depart = chan_free[dst]
+            chan_free[src] = depart + bwt
+            chan_free[dst] = depart + bwt
+        arrival = depart + lat + bwt
+        messages += 1
+        if comm is not None:
+            comm.append((producer, src, dst, depart, arrival))
+        return depart, arrival
+
     def try_start(t: int, now: float) -> None:
         nd = node[t]
         dr = data_ready[t]
@@ -308,7 +331,7 @@ def _py_loop(
             push(ready[nd], rank[t])
             if queued is not None:
                 queued[nd] += 1
-                rec.queue_depth(now, nd, queued[nd])
+                queue.append((now, nd, queued[nd]))
 
     if faulty:
 
@@ -325,27 +348,14 @@ def _py_loop(
             push(events, (start + d, t, gen[t]))
 
         def transfer(src: int, dst: int, now: float, producer: int) -> float:
-            """Arrival time of one tile src -> dst departing at ``now``."""
+            """Arrival time of one tile src -> dst, which may be dropped."""
             nonlocal messages, dropped, retransmits, msg_index
-            lat, bwt = link_params(src, dst)
-            if serialized:
-                depart = now
-                if chan_free[src] > depart:
-                    depart = chan_free[src]
-                if chan_free[dst] > depart:
-                    depart = chan_free[dst]
-                chan_free[src] = depart + bwt
-                chan_free[dst] = depart + bwt
-            else:
-                depart = now
-            arrival = depart + lat + bwt
-            messages += 1
-            if observe:
-                rec.comm(producer, src, dst, depart, arrival, nbytes)
+            depart, arrival = send(src, dst, now, producer)
             idx = msg_index
             msg_index += 1
             if schedule.drops_message(idx):
                 # lost on the wire: NACK after the timeout, send again
+                lat, bwt = link_params(src, dst)
                 dropped += 1
                 retransmits += 1
                 messages += 1
@@ -466,8 +476,8 @@ def _py_loop(
                         sent[(p, dst)] = a
                         refetches += 1
                         messages += 1
-                        if observe:
-                            rec.comm(p, replicas[p], dst, recovery, a, nbytes)
+                        if comm is not None:
+                            comm.append((p, replicas[p], dst, recovery, a))
                     sat.add((p, t))
                     if a > dr:
                         dr = a
@@ -496,8 +506,6 @@ def _py_loop(
             push(events, (end, ntasks + t if on_acc else t, 0))
             if trace is not None:
                 trace.append((t, node[t], start, end))
-            if observe:
-                rec.task(t, node[t], start, end)
 
         # the pool's own try_start replaces the shared one
         def try_start(t: int, now: float) -> None:  # noqa: F811
@@ -517,7 +525,7 @@ def _py_loop(
                 push(acc_ready[nd] if offload else ready[nd], rank[t])
                 if queued is not None:
                     queued[nd] += 1
-                    rec.queue_depth(now, nd, queued[nd])
+                    queue.append((now, nd, queued[nd]))
 
         def pop_ready(heap) -> int:
             while heap:
@@ -550,7 +558,7 @@ def _py_loop(
             if nxt >= 0:
                 if queued is not None:
                     queued[nd] -= 1
-                    rec.queue_depth(now, nd, queued[nd])
+                    queue.append((now, nd, queued[nd]))
                 launch(nxt, now, on_acc)
             return t
 
@@ -567,8 +575,6 @@ def _py_loop(
             push(events, (end, t, 0))
             if trace is not None:
                 trace.append((t, node[t], start, end))
-            if observe:
-                rec.task(t, node[t], start, end)
 
     # seed roots (and, under fault hooks, the crash events)
     for t in range(ntasks):
@@ -611,8 +617,6 @@ def _py_loop(
                     finish_time = now
                 if trace is not None:
                     trace.append((t, nd, start_of[t], now))
-                if observe:
-                    rec.task(t, nd, start_of[t], now)
             # the freed core picks its next task
             nxt = -1
             if data_reuse:
@@ -639,7 +643,7 @@ def _py_loop(
             if nxt >= 0:
                 if queued is not None:
                     queued[nd] -= 1
-                    rec.queue_depth(now, nd, queued[nd])
+                    queue.append((now, nd, queued[nd]))
                 dr = data_ready[nxt]
                 launch(nxt, dr if dr > now else now)
             else:
@@ -669,31 +673,8 @@ def _py_loop(
                 else:
                     arrival = slot_arrival[slot]
                     if arrival < 0:
-                        dest = node[s]
-                        if hierarchical and site[nd] != site[dest]:
-                            lat, bwt = lat_inter, bwt_inter
-                        else:
-                            lat, bwt = lat_intra, bwt_intra
-                        if serialized:
-                            # the transfer holds both endpoints' single
-                            # communication channel for its bandwidth term
-                            depart = now
-                            if chan_free[nd] > depart:
-                                depart = chan_free[nd]
-                            if chan_free[dest] > depart:
-                                depart = chan_free[dest]
-                            chan_free[nd] = depart + bwt
-                            chan_free[dest] = depart + bwt
-                            arrival = depart + lat + bwt
-                        else:
-                            depart = now
-                            arrival = now + lat + bwt
+                        arrival = send(nd, node[s], now, t)[1]
                         slot_arrival[slot] = arrival
-                        messages += 1
-                        if comm is not None:
-                            comm.append((t, nd, dest, depart, arrival))
-                        if observe:
-                            rec.comm(t, nd, dest, depart, arrival, nbytes)
             if arrival > data_ready[s]:
                 data_ready[s] = arrival
             waiting[s] -= 1
@@ -728,38 +709,78 @@ def _py_loop(
         if any(w > 0 for w in waiting):  # pragma: no cover - cycle guard
             raise RuntimeError("simulation stalled with unfinished tasks")
         fault_out = None
-    return finish_time, busy, messages, trace, comm, fault_out
+    return (
+        finish_time, busy, messages,
+        (trace, comm, queue) if record else None,
+        fault_out,
+    )
 
 
 # --------------------------------------------------------------------- #
 # native inner loop
 # --------------------------------------------------------------------- #
-def _c_cluster(
-    lib, ntasks, nnodes, cores_per_node, dur, node, waiting,
-    succ_ptr, succ_idx, edge_slot, nslots, rank, task_of_rank,
-    serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter,
-    site_of, data_reuse, accs, acc_dur,
-):
-    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-    out_mk, out_busy = f64(0.0), f64(0.0)
-    out_msgs = i64(0)
-    rc = lib.hqr_simulate_cluster(
-        i64(ntasks), i32(nnodes), i32(cores_per_node),
-        _ptr(dur, f64), _ptr(node, i32), _ptr(waiting, i32),
-        _ptr(succ_ptr, i64), _ptr(succ_idx, i32),
-        _ptr(edge_slot, i32), i64(nslots),
-        _ptr(rank, i32), _ptr(task_of_rank, i32),
-        i32(1 if serialized else 0), i32(1 if hierarchical else 0),
-        f64(lat_intra), f64(bwt_intra), f64(lat_inter), f64(bwt_inter),
-        _ptr(site_of, i32), i32(1 if data_reuse else 0),
-        i32(accs), None if acc_dur is None else _ptr(acc_dur, f64),
-        ctypes.byref(out_mk), ctypes.byref(out_busy), ctypes.byref(out_msgs),
-    )
-    if rc == 1:  # pragma: no cover - cycle guard
-        raise RuntimeError("simulation stalled with unfinished tasks")
-    if rc != 0:  # pragma: no cover - allocation failure: retry in Python
-        return None
-    return out_mk.value, out_busy.value, out_msgs.value
+#: entries of the C loop's record families (task, msg, queue); aligned
+#: like the C structs
+_RECORD_DTYPES = (
+    np.dtype(
+        [("task", "i4"), ("node", "i4"), ("start", "f8"), ("end", "f8")],
+        align=True,
+    ),
+    np.dtype(
+        [("producer", "i4"), ("src", "i4"), ("dst", "i4"),
+         ("depart", "f8"), ("arrival", "f8")],
+        align=True,
+    ),
+    np.dtype([("time", "f8"), ("node", "i4"), ("depth", "i4")], align=True),
+)
+
+
+class _CRecord:
+    """Caller-owned arrays the C loop writes its schedule record into,
+    sized exactly: a task launches once, a message slot is sent once,
+    and a task joins and leaves a ready queue at most once."""
+
+    def __init__(self, ntasks: int, nslots: int):
+        caps = (ntasks, nslots, 2 * ntasks)
+        self.arrays = [
+            np.empty(max(cap, 1), dt) for cap, dt in zip(caps, _RECORD_DTYPES)
+        ]
+        # capacities, then the entries written
+        self.counts = np.array(caps + (0, 0, 0), np.int64)
+        self.args = (
+            *(arr.ctypes.data for arr in self.arrays),
+            _ptr(self.counts, ctypes.c_int64),
+        )
+
+    def lists(self) -> tuple[list, list, list]:
+        """``(tasks, messages, queue)`` as the Python loop's tuple lists.
+
+        The Python loop records one object per task id and end time and
+        refers to it again wherever that value recurs (a later start, a
+        departure, a queue change); so do these lists, which keeps a
+        recorder of millions of entries as small.
+        """
+        task, msg, queue = (
+            arr[:n] for arr, n in zip(self.arrays, self.counts[3:].tolist())
+        )
+        ends = task["end"].tolist()
+        times = dict(zip(ends, ends))
+        tids = range(len(self.arrays[0]))
+        ids = dict(zip(tids, tids))
+
+        def shared(col, objects):
+            values = col.tolist()
+            return list(map(objects.get, values, values))
+
+        return (
+            list(zip(shared(task["task"], ids), task["node"].tolist(),
+                     shared(task["start"], times), ends)),
+            list(zip(shared(msg["producer"], ids), msg["src"].tolist(),
+                     msg["dst"].tolist(), shared(msg["depart"], times),
+                     msg["arrival"].tolist())),
+            list(zip(shared(queue["time"], times), queue["node"].tolist(),
+                     queue["depth"].tolist())),
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -783,13 +804,15 @@ def run_core(
 ) -> CoreOutcome:
     """Run one compiled graph through the unified event loop.
 
-    Dispatches to the native C core when no Python-visible capability is
-    requested (no tracing, no fault hooks, no task-level recording) and
-    ``REPRO_SIM_CORE`` / ``core`` allows it; otherwise runs the unified
-    Python loop.  Both are bit-identical.  One ``simulate`` span
-    (:func:`repro.obs.tracing.span`) times each non-empty run;
-    ``engine_label`` overrides the Python loop's ``engine`` attribute
-    (front ends keep their historical labels, e.g. ``reference``).
+    Runs the native C core unless fault hooks, ``REPRO_SIM_CORE`` /
+    ``core`` or a missing compiler select the bit-identical Python loop.
+    Either loop writes the schedule record when ``record_trace`` is set
+    (returned as ``result.trace`` / fault-free ``result.comm_trace``) or
+    a ``tasks``-level recorder is active (which ingests it).  One
+    ``simulate`` span (:func:`repro.obs.tracing.span`) times each
+    non-empty run; ``engine_label`` overrides the Python loop's
+    ``engine`` attribute (front ends keep their historical labels, e.g.
+    ``reference``).
 
     ``accelerators > 0`` equips every node with that many devices;
     ``acc_seconds`` is then the per-kernel-kind device time, indexed like
@@ -817,15 +840,10 @@ def run_core(
         )
 
     rec = _obs_active()
-    lib = None
-    if not record_trace and fault is None:
-        lib = _pick_engine(core)
-        if lib is not None and rec is not None and rec.want_tasks:
-            # per-task/per-message detail needs Python callbacks, which
-            # the native core cannot make — run the bit-identical Python
-            # loop instead (one note per demoted graph, in every path)
-            rec.note("engine_fallback", reason="task-level recording", frm="c")
-            lib = None
+    if rec is not None and rec.level != "tasks":
+        rec = None  # a summary recorder takes the span, not the schedule
+    record = record_trace or rec is not None
+    lib = None if fault is not None else _pick_engine(core)
     engine = engine_label or "python"
     with span(
         "simulate", engine="c" if lib is not None else engine, ntasks=ntasks
@@ -845,67 +863,81 @@ def run_core(
                 np.asarray(acc_seconds, dtype=np.float64)[cg.kind]
             )
 
+        out = None
         if lib is not None:
-            out = _c_cluster(
-                lib, ntasks, nnodes, cores_per_node, dur, cg.node, waiting,
-                cg.succ_ptr, cg.succ_idx, cg.edge_slot, cg.nslots,
-                rank, task_of_rank, serialized, hierarchical,
-                lat_intra, bwt_intra, lat_inter, bwt_inter, site_of,
-                data_reuse, accelerators, acc_dur,
+            crec = _CRecord(ntasks, cg.nslots) if record else None
+            i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+            totals = (f64(), f64(), i64())  # makespan, busy, messages
+            rc = lib.hqr_simulate_cluster(
+                ntasks, nnodes, cores_per_node,
+                _ptr(dur, f64), _ptr(cg.node, i32), _ptr(waiting, i32),
+                _ptr(cg.succ_ptr, i64), _ptr(cg.succ_idx, i32),
+                _ptr(cg.edge_slot, i32), cg.nslots,
+                _ptr(rank, i32), _ptr(task_of_rank, i32),
+                serialized, hierarchical,
+                lat_intra, bwt_intra, lat_inter, bwt_inter,
+                _ptr(site_of, i32), data_reuse,
+                accelerators, None if acc_dur is None else _ptr(acc_dur, f64),
+                *((None,) * 4 if crec is None else crec.args),
+                *map(ctypes.byref, totals),
             )
-            if out is not None:
-                makespan, busy, messages = out
-                return CoreOutcome(
-                    result=SimulationResult(
-                        makespan=makespan,
-                        flops=qr_flops(M, N),
-                        messages=messages,
-                        bytes_sent=messages * tile_bytes,
-                        busy_seconds=busy,
-                        cores=machine.cores,
-                        trace=None,
-                    ),
-                    engine="c",
-                )
-            if sp is not None:
+            if rc == 1:  # pragma: no cover - cycle guard
+                raise RuntimeError("simulation stalled with unfinished tasks")
+            if rc == 2:
+                raise RuntimeError("schedule record exceeded its capacity")
+            if rc == 0:
+                out = [v.value for v in totals]
+            elif sp is not None:
                 sp.attrs["engine"] = engine  # allocation failure: Python runs
-
-        kw = {}
-        if fault is not None:
-            kw = dict(
-                fault=fault,
-                pred_ptr=cg.pred_ptr.tolist(),
-                pred_idx=cg.pred_idx.tolist(),
+        if out is not None:
+            makespan, busy, messages = out
+            sched = crec.lists() if record else None
+            fault_out = None
+        else:
+            kw = {}
+            if fault is not None:
+                kw = dict(
+                    fault=fault,
+                    pred_ptr=cg.pred_ptr.tolist(),
+                    pred_idx=cg.pred_idx.tolist(),
+                )
+            makespan, busy, messages, sched, fault_out = _py_loop(
+                ntasks, nnodes, cores_per_node,
+                dur.tolist(), cg.node.tolist(), waiting.tolist(),
+                cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
+                cg.edge_slot.tolist() if fault is None else None,
+                cg.nslots if fault is None else 0,
+                rank.tolist(), task_of_rank.tolist(),
+                serialized, hierarchical,
+                lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+                data_reuse,
+                accs=accelerators,
+                acc_dur=None if acc_dur is None else acc_dur.tolist(),
+                record=record,
+                **kw,
             )
-        makespan, busy, messages, trace, comm, fault_out = _py_loop(
-            ntasks, nnodes, cores_per_node,
-            dur.tolist(), cg.node.tolist(), waiting.tolist(),
-            cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-            cg.edge_slot.tolist() if fault is None else None,
-            cg.nslots if fault is None else 0,
-            rank.tolist(), task_of_rank.tolist(),
-            serialized, hierarchical,
-            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-            data_reuse,
-            accs=accelerators,
-            acc_dur=None if acc_dur is None else acc_dur.tolist(),
-            rec=rec, nbytes=tile_bytes, record_trace=record_trace,
-            **kw,
-        )
-        return CoreOutcome(
-            result=SimulationResult(
-                makespan=makespan,
-                flops=qr_flops(M, N),
-                messages=messages,
-                bytes_sent=messages * tile_bytes,
-                busy_seconds=busy,
-                cores=machine.cores,
-                trace=trace,
-                comm_trace=comm,
-            ),
-            fault=fault_out,
-            engine="python",
-        )
+        if rec is not None:
+            rec.ingest(*sched, nbytes=tile_bytes)
+    trace = comm = None
+    if record_trace:
+        trace = sched[0]
+        # a faulty run's sends include re-fetches and lost copies, which
+        # the fault-free comm-trace contract does not describe
+        comm = sched[1] if fault is None else None
+    return CoreOutcome(
+        result=SimulationResult(
+            makespan=makespan,
+            flops=qr_flops(M, N),
+            messages=messages,
+            bytes_sent=messages * tile_bytes,
+            busy_seconds=busy,
+            cores=machine.cores,
+            trace=trace,
+            comm_trace=comm,
+        ),
+        fault=fault_out,
+        engine="c" if out is not None else "python",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -945,20 +977,19 @@ def run_core_batch(
     tile_bytes = machine.tile_bytes(b)
 
     lib = _pick_engine(core)
-    if lib is not None and rec is not None and rec.want_tasks:
-        # task-level recording demotes the whole batch to the Python
-        # loop; the per-point fallback below emits one engine_fallback
-        # note per graph — identical attribution to the scalar path
+    if rec is not None and rec.level == "tasks":
+        # the recorder ingests each graph's schedule record, which the
+        # scalar dispatch writes: the points run one by one below, still
+        # in C when the core allows it
         lib = None
-    results: list[SimulationResult | None] = [None] * npoints
     # empty graphs never reach the C core: malloc(0) is allowed to return
     # NULL, which the scalar loop would misread as allocation failure
-    live = [i for i in range(npoints) if graphs[i].ntasks > 0]
-    for i in range(npoints):
-        if graphs[i].ntasks == 0:
-            results[i] = SimulationResult(
-                0.0, 0.0, 0, 0, 0.0, machine.cores, None
-            )
+    results: list[SimulationResult | None] = [
+        None if cg.ntasks
+        else SimulationResult(0.0, 0.0, 0, 0, 0.0, machine.cores)
+        for cg in graphs
+    ]
+    live = [i for i, res in enumerate(results) if res is None]
 
     out = None
     if lib is not None and live:
@@ -984,7 +1015,7 @@ def run_core_batch(
                     )
     if out is None and live:
         # bit-identical fallback: the scalar path per point (pure-Python
-        # core, or C per point when the batch allocation failed)
+        # core, task-level recording, or a failed batch allocation)
         with span("dispatch_compute"):
             for i in live:
                 results[i] = run_core(
@@ -996,47 +1027,28 @@ def run_core_batch(
 
 def _pack_batch(graphs, prios, live) -> dict:
     """Concatenate per-point graph arrays into one batch arena."""
-    npoints = len(live)
-    task_off = np.zeros(npoints + 1, dtype=np.int64)
-    edge_off = np.zeros(npoints + 1, dtype=np.int64)
-    slot_off = np.zeros(npoints + 1, dtype=np.int64)
-    for j, i in enumerate(live):
-        cg = graphs[i]
-        task_off[j + 1] = task_off[j] + cg.ntasks
-        edge_off[j + 1] = edge_off[j] + len(cg.succ_idx)
-        slot_off[j + 1] = slot_off[j] + cg.nslots
-    cat = np.concatenate
-    ranks = []
-    orders = []
-    for j, i in enumerate(live):
-        r, o = priority_ranks(prios[i], graphs[i].ntasks)
-        ranks.append(r)
-        orders.append(o)
     live_graphs = [graphs[i] for i in live]
-    dur_tables = np.ascontiguousarray(
-        np.stack([cg.dur_table for cg in live_graphs]).ravel(), dtype=np.float64
-    )
+    ranks = [priority_ranks(prios[i], graphs[i].ntasks) for i in live]
+
+    def offsets(sizes):
+        return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+    def cat(field):
+        return np.concatenate([getattr(cg, field) for cg in live_graphs])
+
     return {
-        "task_off": task_off,
-        "edge_off": edge_off,
-        "slot_off": slot_off,
-        "dur_tables": dur_tables,
-        "kind": np.ascontiguousarray(cat([cg.kind for cg in live_graphs])),
-        "node": np.ascontiguousarray(cat([cg.node for cg in live_graphs])),
-        "waiting": np.ascontiguousarray(
-            cat([cg.pred_counts for cg in live_graphs])
-        ),
-        "succ_ptr": np.ascontiguousarray(
-            cat([cg.succ_ptr for cg in live_graphs])
-        ),
-        "succ_idx": np.ascontiguousarray(
-            cat([cg.succ_idx for cg in live_graphs])
-        ),
-        "edge_slot": np.ascontiguousarray(
-            cat([cg.edge_slot for cg in live_graphs])
-        ),
-        "rank": np.ascontiguousarray(cat(ranks)),
-        "task_of_rank": np.ascontiguousarray(cat(orders)),
+        "task_off": offsets([cg.ntasks for cg in live_graphs]),
+        "edge_off": offsets([len(cg.succ_idx) for cg in live_graphs]),
+        "slot_off": offsets([cg.nslots for cg in live_graphs]),
+        "dur_tables": cat("dur_table").astype(np.float64, copy=False),
+        "kind": cat("kind"),
+        "node": cat("node"),
+        "waiting": cat("pred_counts"),
+        "succ_ptr": cat("succ_ptr"),
+        "succ_idx": cat("succ_idx"),
+        "edge_slot": cat("edge_slot"),
+        "rank": np.concatenate([r for r, _ in ranks]),
+        "task_of_rank": np.concatenate([o for _, o in ranks]),
     }
 
 
@@ -1053,20 +1065,19 @@ def _c_cluster_batch(lib, batch, machine: Machine, b: int, data_reuse: bool):
     out_rc = np.zeros(npoints, dtype=np.int32)
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     rc = lib.hqr_simulate_cluster_batch(
-        i64(npoints), i32(sim_threads()),
+        npoints, sim_threads(),
         _ptr(batch["task_off"], i64), _ptr(batch["edge_off"], i64),
         _ptr(batch["slot_off"], i64),
-        i32(nnodes), i32(cores_per_node),
+        nnodes, cores_per_node,
         _ptr(batch["dur_tables"], f64),
         _ptr(batch["kind"], ctypes.c_int8),
         _ptr(batch["node"], i32), _ptr(batch["waiting"], i32),
         _ptr(batch["succ_ptr"], i64), _ptr(batch["succ_idx"], i32),
         _ptr(batch["edge_slot"], i32),
         _ptr(batch["rank"], i32), _ptr(batch["task_of_rank"], i32),
-        i32(1 if serialized else 0), i32(1 if hierarchical else 0),
-        f64(lat_intra), f64(bwt_intra),
-        f64(lat_inter), f64(bwt_inter),
-        _ptr(site_of, i32), i32(1 if data_reuse else 0),
+        serialized, hierarchical,
+        lat_intra, bwt_intra, lat_inter, bwt_inter,
+        _ptr(site_of, i32), data_reuse,
         _ptr(out_mk, f64), _ptr(out_busy, f64), _ptr(out_msgs, i64),
         _ptr(out_rc, i32),
     )

@@ -41,7 +41,7 @@ class SimulationResult:
     cores: int
     trace: list[tuple[int, int, float, float]] | None = None  # (task, node, start, end)
     #: (producer task, src node, dst node, depart, arrival) per message —
-    #: recorded by the reference engine under ``record_trace``; consumed by
+    #: recorded by either inner loop under ``record_trace``; consumed by
     #: the schedule-legality oracle in :mod:`repro.verify`
     comm_trace: list[tuple[int, int, int, float, float]] | None = None
 
@@ -124,11 +124,10 @@ class ClusterSimulator:
 
         Routes through the unified event-loop core
         (:func:`repro.runtime.core.run_core`): the native C inner loop
-        when no trace is requested and ``REPRO_SIM_CORE`` allows it, the
-        Python inner loop otherwise — bit-identical either way.
+        when ``REPRO_SIM_CORE`` allows it, the Python inner loop
+        otherwise — bit-identical either way, and either one records the
+        trace under ``record_trace``.
         """
-        if self.record_trace:
-            return self.run_reference(graph, M, N)
         return self._run_core(graph, M, N)
 
     def _run_core(
@@ -138,7 +137,6 @@ class ClusterSimulator:
         N: int | None,
         *,
         core: str | None = None,
-        record_trace: bool = False,
         engine_label: str | None = None,
     ) -> SimulationResult:
         """Compile ``graph`` and run it through the unified core."""
@@ -155,7 +153,7 @@ class ClusterSimulator:
             M=M,
             N=N,
             core=core,
-            record_trace=record_trace,
+            record_trace=self.record_trace,
             engine_label=engine_label,
         ).result
 
@@ -164,17 +162,11 @@ class ClusterSimulator:
     ) -> SimulationResult:
         """The Python inner loop with the historical ``reference`` label.
 
-        This is the tracing path: under ``record_trace`` it captures the
-        task trace and the comm trace consumed by the verify oracle.  The
-        loop itself is the unified core's Python branch
+        The unified core's Python branch
         (:func:`repro.runtime.core.run_core` with ``core="python"``) —
-        bit-identical to every other dispatch of the same configuration.
+        bit-identical to every other dispatch of the same configuration,
+        and recording the same traces under ``record_trace``.
         """
         return self._run_core(
-            graph,
-            M,
-            N,
-            core="python",
-            record_trace=self.record_trace,
-            engine_label="reference",
+            graph, M, N, core="python", engine_label="reference"
         )

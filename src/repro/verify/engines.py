@@ -6,12 +6,12 @@ of hand-maintained loops (reference / compiled-python / compiled-C /
 resilient) is now a two-way differential over the core's genuinely
 distinct *implementations*:
 
-* ``core`` — the unified loop's Python branch with trace recording on
-  (its task and comm traces feed the legality oracle);
+* ``core`` — the unified loop's Python branch with trace recording on;
 * ``core-c`` — the same schedule through the native C inner loop
-  (present only when a system compiler is available); honors
-  ``case.batched`` by dispatching a batch of one through the batched
-  arena path, which must agree bitwise with the scalar dispatch.
+  (present only when a system compiler is available), also traced, so
+  the legality oracle checks both loops' schedules; honors
+  ``case.batched`` by dispatching an untraced batch of one through the
+  batched arena path, which must agree bitwise with the scalar dispatch.
 
 The collapsed engines did not lose coverage — they lost duplication:
 ``reference`` and ``compiled-python`` are literally the same code path
@@ -74,10 +74,11 @@ reference_engine = core_engine
 
 
 def core_c_engine(case, graph) -> SimulationResult:
-    """The same schedule through the native C inner loop.
+    """The same schedule through the native C inner loop, traced.
 
     ``case.batched`` routes a batch of one through the batched arena
-    dispatch instead — bit-identical to the scalar call by contract.
+    dispatch instead — bit-identical to the scalar call by contract,
+    and untraced.
     """
     from repro.dag.compiled import compile_graph
     from repro.runtime.core import run_core, run_core_batch
@@ -101,15 +102,16 @@ def core_c_engine(case, graph) -> SimulationResult:
         prio=prio,
         data_reuse=case.data_reuse,
         core="c",
+        record_trace=True,
     ).result
 
 
 def available_engines() -> dict[str, Engine]:
     """The engine registry, in deterministic comparison order.
 
-    ``core`` is always first (it is the divergence baseline and the
-    oracle's trace source); ``core-c`` is included only when the native
-    inner loop can be built.
+    ``core`` is always first (it is the divergence baseline);
+    ``core-c`` is included only when the native inner loop can be
+    built.
     """
     engines: dict[str, Engine] = {"core": core_engine}
     if native_available():

@@ -1,7 +1,7 @@
 """Engine-independent schedule-legality oracle.
 
 Differential testing only proves the engines agree; the oracle proves the
-schedule they agree *on* is physically possible.  Given the reference
+schedule they agree *on* is physically possible.  Given a traced
 engine's task trace ``(task, node, start, end)`` and comm trace
 ``(producer, src, dst, depart, arrival)``, it re-derives every resource
 constraint from the machine description alone:
@@ -58,7 +58,7 @@ def check_schedule(
 ) -> list[OracleViolation]:
     """All invariant violations of a traced run (empty list = legal)."""
     if result.trace is None or result.comm_trace is None:
-        raise ValueError("oracle needs a traced reference run")
+        raise ValueError("oracle needs a traced run")
     machine = case.machine()
     layout = case.layout()
     b = case.b

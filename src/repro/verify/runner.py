@@ -7,7 +7,7 @@ One verification *case* runs through five checks:
 2. every engine executes it (exceptions are failures, not crashes);
 3. all engines agree bitwise on
    :func:`~repro.verify.engines.result_key`;
-4. the baseline engine's trace passes every oracle invariant
+4. every traced engine result passes every oracle invariant
    (:mod:`repro.verify.oracle`);
 5. any failure is shrunk over ``(m, n, a, p, q)`` to a minimal repro.
 
@@ -19,10 +19,9 @@ closing the reproduce-a-failure loop documented in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.dag.graph import TaskGraph
@@ -97,15 +96,13 @@ def verify_case(
             {"baseline": ref_name, "diverged": diverged},
         )
 
-    baseline = results[ref_name]
-    if baseline.trace is not None:
-        violations = check_schedule(case, graph, baseline)
+    for name, res in results.items():
+        if res.trace is None:
+            continue
+        violations = [asdict(v) for v in check_schedule(case, graph, res)]
         if violations:
-            return CaseFailure(
-                case,
-                "oracle",
-                {"violations": [dataclasses.asdict(v) for v in violations]},
-            )
+            detail = {"engine": name, "violations": violations}
+            return CaseFailure(case, "oracle", detail)
     return None
 
 

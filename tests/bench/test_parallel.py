@@ -116,28 +116,6 @@ def test_default_workers_env(monkeypatch):
         default_workers()
 
 
-def test_recycle_env(monkeypatch):
-    from repro.bench.parallel import recycle_tasks
-
-    monkeypatch.delenv("REPRO_BENCH_RECYCLE", raising=False)
-    assert recycle_tasks() == 0
-    monkeypatch.setenv("REPRO_BENCH_RECYCLE", "8")
-    assert recycle_tasks() == 8
-    monkeypatch.setenv("REPRO_BENCH_RECYCLE", "lots")
-    with pytest.raises(ValueError):
-        recycle_tasks()
-
-
-@pytest.mark.slow
-def test_recycled_pool_still_correct(monkeypatch):
-    """Worker recycling (forkserver + max_tasks_per_child) changes the
-    pool construction, never the results."""
-    monkeypatch.setenv("REPRO_BENCH_RECYCLE", "2")
-    assert parallel_map(_square, list(range(6)), workers=2) == [
-        x * x for x in range(6)
-    ]
-
-
 def small_setup():
     return BenchSetup(
         b=40, grid_p=4, grid_q=2, machine=Machine(nodes=8, cores_per_node=4)

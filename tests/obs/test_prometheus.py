@@ -147,10 +147,12 @@ class TestDroppedEventFamilies:
         from repro.obs.metrics import derive_run_metrics
 
         rec = Recorder(max_events=2)
-        for i in range(5):
-            rec.task(i, 0, 0.0, 1.0)
-        for i in range(3):
-            rec.comm(i, 0, 1, 0.0, 1.0, 8)
+        rec.ingest(
+            [(i, 0, 0.0, 1.0) for i in range(5)],
+            [(i, 0, 1, 0.0, 1.0) for i in range(3)],
+            [],
+            nbytes=8,
+        )
         assert rec.dropped_events["tasks"] == 3
         assert rec.dropped_events["comms"] == 1
         assert rec.dropped == 4  # aggregate view still works

@@ -26,6 +26,7 @@ from repro.runtime.machine import Machine
 from repro.runtime.priorities import make_priority
 from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, SingleNode
+from repro.trees.base import Elimination
 from repro.trees.random_tree import random_elimination_list
 
 CORES = ["python"] + (["c"] if native_available() else [])
@@ -159,6 +160,30 @@ def test_builder_matches_taskgraph_hqr():
     ):
         assert np.array_equal(getattr(want, field), getattr(got, field)), field
     assert want.nslots == got.nslots
+
+
+@pytest.mark.parametrize("core", ["auto", "python"])
+@pytest.mark.parametrize(
+    "elims, bad",
+    [
+        # victim row past the 4-row grid (the C builder wrote out of bounds)
+        ([Elimination(0, 1, 0, ts=True), Elimination(0, 500, 0, ts=True)], 1),
+        # negative panel and killer
+        ([Elimination(panel=-1, victim=0, killer=-1)], 0),
+        # panel past the 4-column grid
+        ([Elimination(0, 1, 0), Elimination(4, 5, 4)], 1),
+        # killer past the last row
+        ([Elimination(0, 1, 4)], 0),
+    ],
+)
+def test_builder_rejects_out_of_grid_eliminations(elims, bad, core, monkeypatch):
+    """Both builders refuse a table that leaves the m x n tile grid,
+    naming the first bad entry, instead of indexing past their tables."""
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    with pytest.raises(ValueError, match=f"elimination {bad} "):
+        compiled_from_eliminations(
+            elims, 4, 4, Cyclic1D(2), Machine(nodes=2, cores_per_node=2), B
+        )
 
 
 def test_dispatch_env_rejects_unknown_modes(monkeypatch):

@@ -6,7 +6,8 @@ engines (``tests/runtime/fixtures/golden_core.json``): Python and C
 inner loops, trace recording, obs recording at both levels, batched
 dispatch, fault hooks — including the empty-schedule
 ``force_fault_loop`` identity that used to be its own verify engine —
-and the accelerator pool.
+and the accelerator pool.  The schedule record both inner loops write
+(tasks, messages, queue depths) must agree list for list.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 from repro._ccore import native_available
 from repro.dag.compiled import compile_graph
 from repro.obs.events import recording, uninstall
+from repro.runtime import core as core_mod
 from repro.runtime.core import (
     FaultHooks,
     _pick_engine,
@@ -112,6 +114,131 @@ def test_c_loop_matches_golden(name):
     )
     assert out.engine == "c"
     _assert_scalar(out.result, FIXTURE["scalar"][name])
+    assert out.result.trace is None and out.result.comm_trace is None
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+@pytest.mark.parametrize("name", sorted(FIXTURE["scalar"]))
+def test_c_loop_with_traces_matches_golden(name):
+    """core="c" + record_trace: the C loop's schedule record reproduces
+    both frozen digests."""
+    case = CASES[name]
+    _, _, cg, prio = _compiled(case)
+    frozen = FIXTURE["scalar"][name]
+    out = run_core(
+        cg, case.machine, case.b,
+        prio=prio, data_reuse=case.data_reuse,
+        core="c", record_trace=True,
+    )
+    assert out.engine == "c"
+    _assert_scalar(out.result, frozen)
+    assert trace_digest(out.result.trace) == frozen["trace"]
+    assert comm_digest(out.result.comm_trace) == frozen["comm"]
+
+
+def _records(run):
+    """The (tasks, comms, queue) lists a tasks recorder ingests from
+    ``run()``, plus its result."""
+    with recording("tasks") as rec:
+        res = run()
+    assert rec.dropped == 0
+    return (rec.tasks, rec.comms, rec.queue), res
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+@pytest.mark.parametrize(
+    "name", sorted(FIXTURE["scalar"]) + sorted(FIXTURE["accelerated"])
+)
+def test_c_and_python_records_are_equal(name):
+    """Tasks, messages and queue-depth changes, list for list: data
+    reuse, (un)serialized links, hierarchical machines and the
+    accelerator pool (0, 1, 2 devices)."""
+    acc_case = ACC_CASES.get(name)
+    case = acc_case.base if acc_case else CASES[name]
+    _, _, cg, prio = _compiled(case)
+    if acc_case:
+        acc = acc_case.machine()
+        kw = dict(
+            accelerators=acc.accelerators, acc_seconds=acc.kind_seconds(case.b)
+        )
+    else:
+        kw = dict(prio=prio, data_reuse=case.data_reuse)
+    got = {}
+    for core in ("python", "c"):
+        got[core], out = _records(
+            lambda: run_core(cg, case.machine, case.b, core=core, **kw)
+        )
+        assert out.engine == core
+    tasks, comms, queue = got["c"]
+    assert got["c"] == got["python"]
+    assert len(tasks) == cg.ntasks
+    assert len(comms) == out.result.messages
+    assert all(depth >= 0 for _, _, depth in queue)
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+@pytest.mark.parametrize(
+    "names", [["flat-serialized", "flat-critical-path"], ["hierarchical-reuse"]]
+)
+def test_c_and_python_batch_records_are_equal(names):
+    """run_core_batch under a tasks recorder: the C dispatch ingests the
+    same records, in point order, as the Python one."""
+    cases = [CASES[n] for n in names]
+    compiled = [_compiled(c) for c in cases]
+    got = {}
+    for core in ("python", "c"):
+        got[core], results = _records(
+            lambda: run_core_batch(
+                [cg for _, _, cg, _ in compiled],
+                cases[0].machine, cases[0].b,
+                prios=[prio for _, _, _, prio in compiled],
+                data_reuse=cases[0].data_reuse,
+                core=core,
+            )
+        )
+        for name, res in zip(names, results):
+            _assert_scalar(res, FIXTURE["scalar"][name])
+    assert got["c"] == got["python"]
+    assert len(got["c"][0]) == sum(cg.ntasks for _, _, cg, _ in compiled)
+
+
+@pytest.mark.parametrize("cap", [0, 5, 40])
+def test_recorder_caps_each_family_and_counts_the_overflow(cap):
+    """``Recorder(max_events=k)`` keeps the first k events of each
+    family across runs and counts exactly the rest, per family."""
+    from repro.obs.events import Recorder, install
+
+    case = CASES["flat-serialized"]
+    _, _, cg, prio = _compiled(case)
+
+    def twice():
+        for _ in range(2):
+            run_core(cg, case.machine, case.b, prio=prio)
+
+    (tasks, comms, queue), _ = _records(twice)
+    rec = install(Recorder(max_events=cap))
+    twice()
+    uninstall()
+    for family, full in (("tasks", tasks), ("comms", comms), ("queue", queue)):
+        assert len(full) > 40
+        assert getattr(rec, family) == full[:cap]
+        assert rec.dropped_events[family] == len(full) - cap
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+def test_c_record_capacity_is_checked(monkeypatch):
+    """A record one message short of what the run sends is an error
+    code from the C loop, never a write past the caller's arrays."""
+    case = CASES["flat-serialized"]
+    _, _, cg, prio = _compiled(case)
+    sized = core_mod._CRecord
+    monkeypatch.setattr(
+        core_mod, "_CRecord", lambda ntasks, nslots: sized(ntasks, nslots - 1)
+    )
+    assert cg.nslots == FIXTURE["scalar"]["flat-serialized"]["messages"]
+    with pytest.raises(RuntimeError, match="capacity"):
+        run_core(cg, case.machine, case.b, prio=prio, core="c",
+                 record_trace=True)
 
 
 @pytest.mark.parametrize("core", ["python", "c"])
@@ -167,15 +294,17 @@ def test_accelerator_pool_matches_golden(name, core):
 @pytest.mark.parametrize("level", ["summary", "tasks"])
 @pytest.mark.parametrize("name", ["flat-serialized", "hierarchical-reuse"])
 def test_obs_recording_is_bitwise_neutral(name, level):
-    """Recording on (either level) must not move a single bit."""
+    """Recording on (either level) must not move a single bit, nor
+    change which inner loop runs."""
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
     with recording(level=level):
-        res = run_core(
+        out = run_core(
             cg, case.machine, case.b,
             prio=prio, data_reuse=case.data_reuse,
-        ).result
-    _assert_scalar(res, FIXTURE["scalar"][name])
+        )
+    _assert_scalar(out.result, FIXTURE["scalar"][name])
+    assert out.engine == ("c" if _pick_engine(None) is not None else "python")
 
 
 def _simulate_spans(spans):
@@ -242,9 +371,10 @@ def test_tracing_span_hook_is_bitwise_neutral_batched():
 
 
 def test_task_recording_batch_emits_one_span_per_graph():
-    """A task-level recorder demotes the batch to per-graph runs: each
-    of 3 graphs is one ``simulate`` span in the trace and in the
-    recorder, and the results match the unrecorded runs bit for bit."""
+    """A task-level recorder runs the batch graph by graph (each one
+    writes the schedule record the recorder ingests): each of 3 graphs
+    is one ``simulate`` span in the trace and in the recorder, and the
+    results match the unrecorded runs bit for bit."""
     from repro.dag.compiled import compiled_from_eliminations
     from repro.hqr.hierarchy import hqr_elimination_list
     from repro.obs.tracing import RequestTrace, attach, mint_trace_id
@@ -356,41 +486,3 @@ def test_empty_schedule_fault_loop_is_bit_identical(name):
     assert res.tasks_reexecuted == 0
     assert res.tasks_aborted == 0
     assert res.wasted_seconds == 0.0
-
-
-@pytest.mark.skipif(not native_available(), reason="no C toolchain")
-def test_engine_fallback_note_is_per_graph_in_both_paths():
-    """Task-level recording demotes C to Python with one note per graph —
-    the batched dispatch must attribute exactly like N scalar calls."""
-    case = CASES["flat-serialized"]
-    other = CASES["flat-unserialized"]
-    _, _, cg1, prio1 = _compiled(case)
-
-    with recording(level="tasks") as rec:
-        run_core(cg1, case.machine, case.b, prio=prio1)
-    scalar_notes = [
-        n for n in rec.notes if n.get("kind") == "engine_fallback"
-    ]
-    assert len(scalar_notes) == 1
-
-    _, _, cg2, prio2 = _compiled(other)
-    with recording(level="tasks") as rec:
-        run_core_batch(
-            [cg1, cg1], case.machine, case.b, prios=[prio1, prio1]
-        )
-    batch_notes = [
-        n for n in rec.notes if n.get("kind") == "engine_fallback"
-    ]
-    # one note per demoted graph, not one for the whole batch
-    assert len(batch_notes) == 2
-    for note in batch_notes:
-        assert {
-            k: v for k, v in note.items() if k != "t"
-        } == {k: v for k, v in scalar_notes[0].items() if k != "t"}
-
-    # the unserialized machine differs from cg1's: run its own batch
-    with recording(level="tasks") as rec:
-        run_core_batch([cg2], other.machine, other.b, prios=[prio2])
-    assert sum(
-        1 for n in rec.notes if n.get("kind") == "engine_fallback"
-    ) == 1

@@ -60,6 +60,40 @@ def _lossy_engine(case, graph):
     return dataclasses.replace(res, messages=res.messages + 1)
 
 
+def _late_trace_engine(case, graph):
+    """Agrees on every compared field, but its trace starts one task
+    before the machine could have (a schedule only the oracle sees)."""
+    res = core_engine(case, graph)
+    t, node, start, end = res.trace[-1]
+    trace = res.trace[:-1] + [(t, node, start - 1.0, end - 1.0)]
+    return dataclasses.replace(res, trace=trace)
+
+
+def test_oracle_checks_every_traced_engine():
+    """The oracle runs on each traced result, not only the baseline's:
+    the C loop's trace included."""
+    from repro.verify import verify_case
+
+    case = sample_case(0, 0)
+    engines = {"core": core_engine, "late": _late_trace_engine}
+    failure = verify_case(case, engines=engines)
+    assert failure is not None and failure.kind == "oracle"
+    assert failure.detail["engine"] == "late"
+    if "core-c" in available_engines():
+        from repro.dag.graph import TaskGraph
+        from repro.hqr.hierarchy import hqr_elimination_list
+        from repro.verify.engines import core_c_engine
+
+        plain = dataclasses.replace(case, batched=False)
+        graph = TaskGraph.from_eliminations(
+            hqr_elimination_list(plain.m, plain.n, plain.config()),
+            plain.m, plain.n,
+        )
+        res = core_c_engine(plain, graph)
+        assert res.trace == core_engine(plain, graph).trace
+        assert res.comm_trace is not None
+
+
 def test_perturbed_engine_is_caught_and_minimized():
     engines = {"core": core_engine, "lossy": _lossy_engine}
     report = verify(seed=0, budget=5, engines=engines, max_failures=1)
